@@ -74,8 +74,6 @@ def parse_args(argv=None):
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--steady", type=int, metavar="K",
                    help="run each workload K times (seeds SEED..SEED+K-1) and report spreads")
-    p.add_argument("--workloads", default=",".join(WORKLOAD_NAMES),
-                   help="comma-separated workloads for --steady")
     p.add_argument("--write-inputs", metavar="DIR",
                    help="write every workload's networks and CLI config to DIR")
     args = p.parse_args(argv)
@@ -136,7 +134,8 @@ def measure(sess, workload, inp, refs, seed, seconds, max_rounds=None):
 
 
 def round_figures(rounds):
-    """Per round: run_s, cli_s and Monte Carlo node-steps per second."""
+    """Per round: run_s, cli_s and Monte Carlo node-steps per second.
+    ``run_s - cli_s`` is the in-process time of the round."""
     run_s, cli_s, mc_rate = [], [], []
     for ops in rounds:
         run_s.append(sum(op.seconds for op in ops))
@@ -196,8 +195,26 @@ def import_s():
     return statistics.median(times)
 
 
-def layer_metrics(tracer, sess, rounds_untraced):
-    """Per-layer metrics of the traced rounds, per round."""
+def in_process_s(rounds):
+    run_s, cli_s, _ = round_figures(rounds)
+    return statistics.median(r - c for r, c in zip(run_s, cli_s))
+
+
+def op_info(sess, op_name, key):
+    """Median over rounds of one figure an operation recorded (0 if none)."""
+    values = [op.info[key] for ops in sess.rounds for op in ops
+              if op.name == op_name and key in op.info]
+    return statistics.median(values) if values else 0.0
+
+
+def layer_metrics(tracer, sess, before, after):
+    """Per-layer metrics of the traced rounds, per round.
+
+    ``before`` is the untraced warm-up round and ``after`` the untraced round
+    that follows the traced one; the overhead compares the traced round's
+    in-process time with ``after``'s, so both sides run warm.  CLI time is
+    left out of it: spans inside the subprocesses are not recorded.
+    """
     summary = tracer.summary()
     layers = tracer.layer_self()
     r = len(sess.rounds)
@@ -205,42 +222,80 @@ def layer_metrics(tracer, sess, rounds_untraced):
     def count(*names):
         return sum(summary[nm]["count"] for nm in names if nm in summary) / r
 
-    def total(prefix):
-        return sum(rec["total_s"] for nm, rec in summary.items() if nm.startswith(prefix)) / r
+    def total(name):
+        return summary[name]["total_s"] / r if name in summary else 0.0
 
-    def p50_us(name):
-        return tail(summary[name]["durations"])["p50"] * 1e6 if name in summary else 0.0
+    def p50(name):
+        return tail(summary[name]["durations"])["p50"] if name in summary else 0.0
 
-    traced_run = statistics.median(round_figures(sess.rounds)[0])
-    base_run = statistics.median(round_figures(rounds_untraced)[0])
+    def tail_q(name):
+        """The tail percentile of ``tail`` (0 below 40 samples)."""
+        t = tail(summary[name]["durations"]) if name in summary else {}
+        return next((v for k, v in t.items() if k not in ("n", "p50")), 0.0)
+
+    traced_s, base_s = in_process_s(sess.rounds), in_process_s(after)
     figures = {k: statistics.median(v) for k, v in sess.figures.items()}
+    init_iterations = sum(op_info(sess, f"optimize_init BA(100,{m})", "iterations")
+                          for m in (1, 10))
+    init_evals = tracer.count_within("oracle.infection_rate_time1", "optimize.optimize_init") / r
     metrics = {
         "graph.self_s": (layers.get("graph", 0.0) / r, "s"),
+        "graph.outer_nodes_s": (p50("graph.outer_nodes"), "s"),
+        "graph.closeness_s": (p50("graph.closeness_centrality"), "s"),
+        "graph.target_layered_s": (p50("graph.target_set_layered"), "s"),
+        "graph.target_dense_s": (p50("graph.target_set_dense"), "s"),
         "graph.closeness_calls": (count("graph.closeness_centrality"), "count"),
         "policies.self_s": (layers.get("policies", 0.0) / r, "s"),
-        "policies.cure_policy_call_us_p50": (p50_us("policies.cure_policy"), "us"),
+        "policies.init_allocation_s": (total("policies.init_allocation"), "s"),
+        "policies.cure_allocator_build_s": (total("policies.cure_allocator"), "s"),
+        "policies.cure_policy_call_us_p50": (p50("policies.cure_policy") * 1e6, "us"),
+        "policies.cure_policy_call_us_tail": (tail_q("policies.cure_policy") * 1e6, "us"),
         "engine.self_s": (layers.get("engine", 0.0) / r, "s"),
-        "engine.step_us_p50": (p50_us("engine.UrnState.step"), "us"),
+        "engine.step_us_p50": (p50("engine.UrnState.step") * 1e6, "us"),
+        "engine.step_us_tail": (tail_q("engine.UrnState.step") * 1e6, "us"),
         "engine.steps": (count("engine.UrnState.step"), "count"),
         "harness.self_s": (layers.get("harness", 0.0) / r, "s"),
         "harness.run_experiment_s": (total("harness.run_experiment"), "s"),
+        "harness.trial_loop_self_s": (summary["harness.run_experiment"]["self_s"] / r
+                                      if "harness.run_experiment" in summary else 0.0, "s"),
         "harness.emit_s": (total("harness.emit"), "s"),
         "oracle.self_s": (layers.get("oracle", 0.0) / r, "s"),
         "oracle.calls": (count(*[nm for nm in summary if nm.startswith("oracle.")]), "count"),
-        "oracle.infection_rate_time1_us_p50": (p50_us("oracle.infection_rate_time1"), "us"),
+        "oracle.infection_rate_time1_us_p50": (p50("oracle.infection_rate_time1") * 1e6, "us"),
+        "oracle.infection_rate_time1_us_tail": (tail_q("oracle.infection_rate_time1") * 1e6,
+                                                "us"),
+        "oracle.infection_rate_time1_calls": (count("oracle.infection_rate_time1"), "count"),
+        "oracle.exposure_build_s": (total("oracle.ExposureObjective.__init__"), "s"),
         "oracle.exposure_rows": (figures.get("oracle.exposure_rows", 0), "count"),
+        "oracle.exposure_nnz": (figures.get("oracle.exposure_nnz", 0), "count"),
         "oracle.exposure_bytes": (figures.get("oracle.exposure_bytes", 0), "B"),
+        "oracle.exposure_value_grad_ms": (p50("oracle.ExposureObjective.value_and_gradients")
+                                          * 1e3, "ms"),
+        "oracle.exposure_calls": (count("oracle.ExposureObjective.value",
+                                        "oracle.ExposureObjective.value_and_gradients"), "count"),
+        "optimize.self_s": (layers.get("optimize", 0.0) / r, "s"),
         "optimize.calls": (count("optimize.optimize_init", "optimize.optimize_cure_step",
                                  "optimize.nash_solve"), "count"),
         "optimize.fw_iterations": (tracer.fw_iterations / r, "count"),
+        "optimize.init_iterations": (op_info(sess, "optimize_init BA(100,1)", "iterations"),
+                                     "count"),
+        "optimize.init_gap": (op_info(sess, "optimize_init BA(100,1)", "gap"), "1"),
+        "optimize.evals_per_iteration": (init_evals / init_iterations if init_iterations else 0.0,
+                                         "count"),
+        "optimize.cure_step_iterations": (op_info(sess, "optimize_cure_step BA(30,1)",
+                                                  "iterations"), "count"),
+        "optimize.nash_rounds": (op_info(sess, "nash_solve BA(30,1)", "rounds"), "count"),
+        "optimize.nash_exploitability": (op_info(sess, "nash_solve BA(30,1)", "exploitability"),
+                                         "1"),
         "cli.wall_s": (statistics.median(round_figures(sess.rounds)[1]), "s"),
-        "trace.overhead_pct": (100.0 * (traced_run / base_run - 1.0), "%"),
+        "trace.overhead_pct": (100.0 * (traced_s / base_s - 1.0), "%"),
         "trace.spans": (len(tracer.start) / r, "count"),
     }
     spans = {nm: {"count": rec["count"], "self_s": rec["self_s"] / r, **tail(rec["durations"])}
              for nm, rec in summary.items()}
     return metrics, {"layer_self_s": {k: v / r for k, v in layers.items()}, "spans": spans,
-                     "traced_run_s": traced_run, "untraced_run_s": base_run}
+                     "in_process_s": {"warm_up": in_process_s(before), "traced": traced_s,
+                                      "untraced": base_s}}
 
 
 def run_one(args):
@@ -276,14 +331,18 @@ def run_one(args):
             d.mkdir()
             workload.setup(d)
             tracer.active = False
-            generate = tracer.summary()["graph.generate_barabasi_albert"]["durations"]
+            setup_spans = tracer.summary()
             tracer.clear()
             traced = workloads.Session(tracer)
-            measure(traced, workload, inp, refs, args.seed, args.seconds)
+            measure(traced, workload, inp, refs, args.seed, args.seconds, max_rounds=1)
             tracer.uninstall()
-            all_rounds += traced.rounds
-            metrics, detail = layer_metrics(tracer, traced, sess.rounds)
-            metrics["graph.generate_s"] = (float(np.median(generate)), "s")
+            after = workloads.Session()
+            measure(after, workload, inp, refs, args.seed, args.seconds, max_rounds=1)
+            all_rounds += traced.rounds + after.rounds
+            metrics, detail = layer_metrics(tracer, traced, sess.rounds, after.rounds)
+            for metric, span in (("graph.generate_s", "graph.generate_barabasi_albert"),
+                                 ("graph.load_s", "graph.load_network")):
+                metrics[metric] = (float(np.median(setup_spans[span]["durations"])), "s")
             metrics["cli.startup_s"] = (cli_startup_s(), "s")
             (OUT / "traces").mkdir(parents=True, exist_ok=True)
             trace_path = OUT / "traces" / f"{args.workload}-seed{args.seed}.npz"
@@ -344,7 +403,7 @@ def steady(args):
     spec = load_spec()
     bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
     report = {}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOAD_NAMES:
         runs = []
         for k in range(args.steady):
             t0 = perf_counter()

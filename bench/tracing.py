@@ -20,7 +20,7 @@ import numpy as np
 # layer -> (module, attribute) pairs; "Class.method" wraps a method.
 TRACED = {
     "graph": ("graph", [
-        "Network.__init__", "generate_barabasi_albert", "save_network",
+        "Network.__init__", "generate_barabasi_albert", "save_network", "load_network",
         "outer_nodes", "inner_nodes", "all_pairs_distances", "closeness_centrality",
         "target_set_all", "target_set_inner", "target_set_layered", "target_set_dense",
     ]),
@@ -161,6 +161,20 @@ class Tracer:
                 out[nm] = {"count": int(sel.sum()), "total_s": float(dur[sel].sum()),
                            "self_s": float(self_time[sel].sum()), "durations": dur[sel]}
         return out
+
+    def count_within(self, name, ancestor):
+        """Number of ``name`` spans that run inside an ``ancestor`` span."""
+        if name not in self.names or ancestor not in self.names:
+            return 0
+        _, _, nm, parent = self.arrays()
+        aid = self.names.index(ancestor)
+        inside = np.zeros(nm.shape[0], dtype=bool)
+        cur = parent.copy()
+        while (cur >= 0).any():
+            up = np.maximum(cur, 0)
+            inside |= (cur >= 0) & (nm[up] == aid)
+            cur = np.where(cur >= 0, parent[up], -1)
+        return int((inside & (nm == self.names.index(name))).sum())
 
     def layer_self(self):
         layers = {}
