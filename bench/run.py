@@ -119,13 +119,13 @@ def git_sha():
     return None
 
 
-def measure(sess, workload, inp, refs, seed, seconds, max_rounds=None):
+def measure(sess, workload, inp, refs, seed, seconds, max_rounds=None, cli=True):
     """Whole rounds until the next one would end past ``seconds`` (at least one)."""
     t_start = perf_counter()
     while True:
         sess.new_round()
         t0 = perf_counter()
-        workload.round(sess, inp, refs, seed)
+        workload.round(sess, inp, refs, seed, cli=cli)
         last = perf_counter() - t0
         if max_rounds is not None and len(sess.rounds) >= max_rounds:
             return
@@ -134,15 +134,33 @@ def measure(sess, workload, inp, refs, seed, seconds, max_rounds=None):
 
 
 def round_figures(rounds):
-    """Per round: run_s, cli_s and Monte Carlo node-steps per second.
-    ``run_s - cli_s`` is the in-process time of the round."""
+    """Per round: run_s, cli_s and the Monte Carlo node-steps per second.
+
+    An operation that a round repeats counts the median over its repeats:
+    the k-th repeat of every operation name makes sample k, ``cli_s`` is
+    the median over samples of their CLI wall time, and the node-steps rate
+    the median over samples of node-steps over ``run_experiment`` time.  A
+    round without repeats is one sample.  ``run_s`` is the whole round.
+    """
     run_s, cli_s, mc_rate = [], [], []
     for ops in rounds:
         run_s.append(sum(op.seconds for op in ops))
-        cli_s.append(sum(op.parts.get("cli", 0.0) for op in ops))
-        steps = sum(op.node_steps for op in ops)
-        secs = sum(op.parts.get("run_experiment", 0.0) for op in ops)
-        mc_rate.append(steps / secs if secs > 0 else 0.0)
+        samples, seen = [], {}
+        for op in ops:
+            k = seen[op.name] = seen.get(op.name, -1) + 1
+            if k == len(samples):
+                samples.append([])
+            samples[k].append(op)
+        clis = [c for c in (sum(op.parts.get("cli", 0.0) for op in sample)
+                            for sample in samples) if c > 0]
+        cli_s.append(statistics.median(clis) if clis else 0.0)
+        rates = []
+        for sample in samples:
+            steps = sum(op.node_steps for op in sample)
+            secs = sum(op.parts.get("run_experiment", 0.0) for op in sample)
+            if steps and secs > 0:
+                rates.append(steps / secs)
+        mc_rate.append(statistics.median(rates) if rates else 0.0)
     return run_s, cli_s, mc_rate
 
 
@@ -195,9 +213,10 @@ def import_s():
     return statistics.median(times)
 
 
-def in_process_s(rounds):
-    run_s, cli_s, _ = round_figures(rounds)
-    return statistics.median(r - c for r, c in zip(run_s, cli_s))
+def in_process_s(rounds, names):
+    """Median over rounds of the time of the operations named in ``names``."""
+    return statistics.median(sum(op.seconds for op in ops if op.name in names)
+                             for ops in rounds)
 
 
 def op_info(sess, op_name, key):
@@ -211,9 +230,11 @@ def layer_metrics(tracer, sess, before, after):
     """Per-layer metrics of the traced rounds, per round.
 
     ``before`` is the untraced warm-up round and ``after`` the untraced round
-    that follows the traced one; the overhead compares the traced round's
-    in-process time with ``after``'s, so both sides run warm.  CLI time is
-    left out of it: spans inside the subprocesses are not recorded.
+    that follows the traced one, both without the operations that run or
+    read a CLI subprocess.  The overhead compares the traced round's time
+    in the operations ``after`` also ran with ``after``'s, so both sides
+    run warm and the same work; CLI time is left out because spans inside
+    the subprocesses are not recorded.
     """
     summary = tracer.summary()
     layers = tracer.layer_self()
@@ -233,7 +254,8 @@ def layer_metrics(tracer, sess, before, after):
         t = tail(summary[name]["durations"]) if name in summary else {}
         return next((v for k, v in t.items() if k not in ("n", "p50")), 0.0)
 
-    traced_s, base_s = in_process_s(sess.rounds), in_process_s(after)
+    shared = {op.name for ops in after for op in ops}
+    traced_s, base_s = in_process_s(sess.rounds, shared), in_process_s(after, shared)
     figures = {k: statistics.median(v) for k, v in sess.figures.items()}
     init_iterations = sum(op_info(sess, f"optimize_init BA(100,{m})", "iterations")
                           for m in (1, 10))
@@ -294,7 +316,7 @@ def layer_metrics(tracer, sess, before, after):
     spans = {nm: {"count": rec["count"], "self_s": rec["self_s"] / r, **tail(rec["durations"])}
              for nm, rec in summary.items()}
     return metrics, {"layer_self_s": {k: v / r for k, v in layers.items()}, "spans": spans,
-                     "in_process_s": {"warm_up": in_process_s(before), "traced": traced_s,
+                     "in_process_s": {"warm_up": in_process_s(before, shared), "traced": traced_s,
                                       "untraced": base_s}}
 
 
@@ -320,8 +342,10 @@ def run_one(args):
         refs = workload.references(inp)
         sess = workloads.Session()
         measure(sess, workload, inp, refs, args.seed, args.seconds,
-                max_rounds=1 if args.trace else None)
-        all_rounds = list(sess.rounds)
+                max_rounds=1 if args.trace else None, cli=not args.trace)
+        # A traced run counts and reports its traced round; the untraced
+        # rounds around it are checked but not counted.
+        measured, support = sess.rounds, []
         detail = {}
         if args.trace:
             tracer = Tracer()
@@ -337,8 +361,9 @@ def run_one(args):
             measure(traced, workload, inp, refs, args.seed, args.seconds, max_rounds=1)
             tracer.uninstall()
             after = workloads.Session()
-            measure(after, workload, inp, refs, args.seed, args.seconds, max_rounds=1)
-            all_rounds += traced.rounds + after.rounds
+            measure(after, workload, inp, refs, args.seed, args.seconds, max_rounds=1,
+                    cli=False)
+            measured, support = traced.rounds, sess.rounds + after.rounds
             metrics, detail = layer_metrics(tracer, traced, sess.rounds, after.rounds)
             for metric, span in (("graph.generate_s", "graph.generate_barabasi_albert"),
                                  ("graph.load_s", "graph.load_network")):
@@ -360,17 +385,18 @@ def run_one(args):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    ops = [op for ops in all_rounds for op in ops]
-    details = op_details(all_rounds)
+    ops = [op for ops in measured for op in ops]
+    details = op_details(measured)
     figures = {name: sum(details[o]["seconds"] for o in names)
                for name, names in FIGURES[args.workload].items()}
     detail.update({
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
-        "rounds": len(all_rounds), "env": environment(), "import_s": imports,
+        "rounds": len(measured) + len(support), "env": environment(), "import_s": imports,
         "setup_inputs_s": setup_times, "figures": figures, "ops": details,
     })
     result = {
-        "correct": not any(op.kind in ("check", "raised") for op in ops),
+        "correct": not any(op.kind in ("check", "raised")
+                           for ops in measured + support for op in ops),
         "attempted": len(ops),
         "failed": sum(op.failed is not None for op in ops),
         "metrics": {k: {"value": float(v), "unit": u} for k, (v, u) in metrics.items()},

@@ -4,7 +4,9 @@ A workload has a set-up (networks, edge-list files, CLI config) and a round:
 a fixed list of operations, each timed from outside around calls into the
 public polyanet functions and then checked against ``reference``.  Every
 round attempts the same operations, so the share of failed operations does
-not depend on the seed or on how many rounds a run makes.
+not depend on the seed or on how many rounds a run makes.  ``round(...,
+cli=False)`` leaves out the operations that run or read a CLI subprocess;
+a traced run uses it for the untraced rounds around the traced one.
 """
 
 from __future__ import annotations
@@ -278,18 +280,24 @@ class McBa100:
     def references(self, inp):
         return {"graphs": reference_graphs(inp["files"], inp["nets"])}
 
-    def round(self, sess, inp, refs, seed):
+    def round(self, sess, inp, refs, seed, cli=True):
         # `compare` runs between the two networks' arms, so that the arms are
         # spread over the round: this machine's speed drifts over seconds,
         # and one slow stretch then weighs on only part of them.
         self.arms(sess, inp, refs, seed, (100, 1))
+        if cli:
+            self.compare_ops(sess, inp, refs, seed)
+        self.arms(sess, inp, refs, seed, (100, 10))
+
+    def compare_ops(self, sess, inp, refs, seed):
+        """``compare --jobs 2`` through the CLI, then the same arms in-process
+        with ``n_jobs=1``; the two CSVs must be byte-identical."""
         csv_path = inp["dir"] / "compare-cli.csv"
         csv_path.unlink(missing_ok=True)
         with sess.op("cli compare --jobs 2") as op:
             op.cli("compare", ["compare", "--config", str(inp["config"]), "--seed", str(seed),
                                "--trials", str(self.compare_trials), "--jobs", "2",
                                "--out", str(csv_path)], repeats=3)
-        self.arms(sess, inp, refs, seed, (100, 10))
         with sess.op("compare in-process n_jobs=1") as op:
             net = inp["nets"][100, 1]
             _, run, arms = op.time("load_config", harness.load_config_file, inp["config"])
@@ -326,7 +334,7 @@ class StructureBa1363:
 
     name = "structure-ba1363"
     sizes = ((1363, 1), (1363, 10))
-    arm = dict(steps=100, trials=100, red_budget=13630.0, init_budget=13630.0)
+    arm = dict(steps=100, trials=200, red_budget=13630.0, init_budget=13630.0)
     cure_step_budget = 1363.0
 
     def setup(self, out_dir):
@@ -339,7 +347,7 @@ class StructureBa1363:
                 "closeness": {k: g.closeness() for k, g in graphs.items()},
                 "outer": {k: g.outer_nodes() for k, g in graphs.items()}}
 
-    def round(self, sess, inp, refs, seed):
+    def round(self, sess, inp, refs, seed, cli=True):
         series = []
         key = (1363, 1)
 
@@ -355,10 +363,12 @@ class StructureBa1363:
         # are spread over the round: this machine's speed drifts over
         # seconds, and one slow stretch then weighs on only part of them.
         init_arm("iv")
-        self.inspect_op(sess, inp, refs, (1363, 1))
+        if cli:
+            self.inspect_op(sess, inp, refs, (1363, 1))
         init_arm("viii")
         cure_arm("iv")
-        self.inspect_op(sess, inp, refs, (1363, 10))
+        if cli:
+            self.inspect_op(sess, inp, refs, (1363, 10))
         cure_arm("vi")
         emit_op(sess, series, 4 * self.arm["steps"])
 
@@ -441,7 +451,7 @@ class OptimizeGame:
         n = net.node_count
         return UrnState(net, np.full(n, self.mass), np.full(n, self.mass))
 
-    def round(self, sess, inp, refs, seed):
+    def round(self, sess, inp, refs, seed, cli=True):
         nets, graphs = inp["nets"], refs["graphs"]
         net30, exp30 = nets[30, 1], refs["exposure"][30, 1]
         series = []
@@ -449,13 +459,15 @@ class OptimizeGame:
         # The short operations, the in-loop cure i arm (~1 s) and `exact`
         # (~0.5 s, mostly interpreter start), run once after each long one.
         # This machine's speed changes over a few seconds, so five samples
-        # spread over the round vary far less than five in one burst did.
+        # spread over the round vary far less than five in one burst did,
+        # and the round counts the median of the five (see round_figures).
         def short_ops():
             mc_arm(sess, (30, 1), inp, refs, init_family="ii", cure_family="i", seed=seed,
                    steps=2, trials=self.loop_trials, red_budget=30 * self.mass,
                    init_budget=30 * self.mass, step_budget=self.cure_budget,
                    descent_iterations=30, series_out=series)
-            self.cli_exact_op(sess, inp["files"][30, 1], graphs[30, 1], exp30, seed)
+            if cli:
+                self.cli_exact_op(sess, inp["files"][30, 1], graphs[30, 1], exp30, seed)
 
         for key in ((100, 1), (100, 10)):
             self.init_op(sess, key, nets[key], graphs[key], refs["outer"][key])
