@@ -52,7 +52,11 @@ def _emit_json(payload, out):
         sys.stdout.write(text)
 
 
-def _add_output_flags(p):
+def _add_run_flags(p):
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -92,12 +96,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run {vary}-strategy experiment arms from a config file")
         p.add_argument("--config", required=True)
         p.add_argument("--arm", help="run only the named arm")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--jobs", type=int, default=1)
-        _add_output_flags(p)
-        p.set_defaults(vary=vary)
+        _add_run_flags(p)
+        p.set_defaults(independent=False)
 
     p = sub.add_parser("game", help="solve the curing/infection game on expected exposure")
     p.add_argument("--net", required=True)
@@ -111,14 +111,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run all arms of a config with shared randomness")
     p.add_argument("--config", required=True)
-    p.add_argument("--vary", choices=("init", "cure"), default="init")
     p.add_argument("--independent", action="store_true",
                    help="independent streams per arm instead of common random numbers")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_output_flags(p)
+    _add_run_flags(p)
+    p.set_defaults(arm=None)
     return parser
 
 
@@ -178,6 +174,8 @@ def _cmd_exact(args):
 
 
 def _cmd_run(args):
+    """``init-run``, ``cure-run`` and ``compare``: arms share streams unless
+    ``--independent`` gives arm ``k`` the stream offset ``k``."""
     net_spec, run, arms = harness.load_config_file(args.config)
     if args.arm is not None:
         arms = [a for a in arms if a[0] == args.arm]
@@ -186,7 +184,9 @@ def _cmd_run(args):
     net = _load_config_network(net_spec)
     configs = harness.build_configs(run, arms, seed=args.seed,
                                     trials=args.trials, steps=args.steps)
-    series = [harness.run_experiment(net, cfg, n_jobs=args.jobs) for cfg in configs]
+    series = [harness.run_experiment(net, cfg, n_jobs=args.jobs,
+                                     arm=k if args.independent else 0)
+              for k, cfg in enumerate(configs)]
     result = harness.emit(series, args.format, args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -212,22 +212,6 @@ def _cmd_game(args):
     _emit_json(payload, args.out)
 
 
-def _cmd_compare(args):
-    net_spec, run, arms = harness.load_config_file(args.config)
-    net = _load_config_network(net_spec)
-    configs = harness.build_configs(run, arms, seed=args.seed,
-                                    trials=args.trials, steps=args.steps)
-    series = []
-    for k, cfg in enumerate(configs):
-        arm_offset = 0 if not args.independent else k
-        series.append(harness.run_experiment(net, cfg, n_jobs=args.jobs, arm=arm_offset))
-    result = harness.emit(series, args.format, args.out)
-    if args.out:
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(result)
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "inspect": _cmd_inspect,
@@ -235,7 +219,7 @@ _COMMANDS = {
     "init-run": _cmd_run,
     "cure-run": _cmd_run,
     "game": _cmd_game,
-    "compare": _cmd_compare,
+    "compare": _cmd_run,
 }
 
 
@@ -249,7 +233,7 @@ def main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, harness.ConfigKeyError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:

@@ -15,7 +15,7 @@ import configparser
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,27 +33,6 @@ def trial_generator(master_seed: int, trial: int, arm: int = 0) -> np.random.Gen
     """Independent uniform stream for one trial (see module docstring)."""
     key = np.array([master_seed & _MASK64, (arm << _ARM_SHIFT) | trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class _StreamPool:
-    """Re-keys one Philox instance per trial; equivalent to
-    :func:`trial_generator` but without per-trial construction cost."""
-
-    def __init__(self):
-        self._bitgen = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._state["state"]["counter"][:] = 0
-
-    def rekey(self, master_seed: int, trial: int, arm: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["key"][0] = master_seed & _MASK64
-        st["state"]["key"][1] = (arm << _ARM_SHIFT) | trial
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
-        return self.generator
 
 
 @dataclass
@@ -173,9 +152,8 @@ def _simulate_block(net: Network, cfg: ExperimentConfig, red, black,
     means = np.empty((hi - lo, cfg.steps))
     draws = np.empty((hi - lo, n, cfg.steps), dtype=np.int8) if keep_draws else None
     template = UrnState(net, red, black)
-    pool = _StreamPool()
     for s in range(lo, hi):
-        rng = pool.rekey(cfg.seed, s, arm)
+        rng = trial_generator(cfg.seed, s, arm)
         state = template.copy()
         for t in range(1, cfg.steps + 1):
             dr = red_policy(t, state)
@@ -374,7 +352,7 @@ def load_config_file(path):
     Returns ``(network_spec, run_settings, arms)`` where arms is a list of
     ``(name, overrides)`` pairs.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(str(path))
     if not read:
         raise FileNotFoundError(path)
@@ -403,14 +381,27 @@ def _coerce(raw: dict) -> dict:
     return out
 
 
+class ConfigKeyError(ValueError):
+    """An experiment config names a setting that does not exist."""
+
+
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"init", "cure"}
+
+
 def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
     """Merge shared run settings, per-arm settings, and keyword overrides
-    (highest precedence) into one :class:`ExperimentConfig` per arm."""
+    (highest precedence) into one :class:`ExperimentConfig` per arm.
+
+    Raises :class:`ConfigKeyError` for a key that is neither an
+    :class:`ExperimentConfig` field nor the ``init``/``cure`` alias."""
     configs = []
     for name, arm in arms:
         merged = dict(run)
         merged.update(arm)
         merged.update({k: v for k, v in overrides.items() if v is not None})
+        for key in merged:
+            if key not in _CONFIG_KEYS:
+                raise ConfigKeyError(f"unknown key {key!r} in arm {name!r}")
         merged.setdefault("label", name)
         strategy = merged.pop("init", None)
         if strategy is not None:

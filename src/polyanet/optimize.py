@@ -92,8 +92,6 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
     f = float(fun(y))
     g = np.asarray(grad(y), dtype=float)
     history = []
-    converged = False
-    gap = math.inf
     k = 0
     for k in range(1, cfg.max_iterations + 1):
         i = int(np.argmin(g))
@@ -101,7 +99,6 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
         if cfg.track_history:
             history.append((k, f, gap))
         if gap <= cfg.gap_tol:
-            converged = True
             break
         direction = -y.copy()
         direction[i] += budget
@@ -111,7 +108,7 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
 
         alpha = golden_section(phi, cfg.line_search_tol)
         if alpha == 0.0:
-            break  # no progress along the steepest vertex; gap already reported
+            break  # no progress along the steepest vertex
         y = (1.0 - alpha) * y
         y[i] += alpha * budget
         f_new = float(fun(y))
@@ -119,10 +116,10 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
         f = f_new
         g = np.asarray(grad(y), dtype=float)
         if cfg.min_decrease > 0 and decrease < cfg.min_decrease:
-            i = int(np.argmin(g))
-            gap = float(g @ y - budget * g[i])
             break
-    return FrankWolfeResult(y, f, gap, k, converged, history)
+    # ``g`` is the gradient at the returned ``y`` on every exit path.
+    gap = float(g @ y - budget * g[int(np.argmin(g))])
+    return FrankWolfeResult(y, f, gap, k, gap <= cfg.gap_tol, history)
 
 
 def _steepest_start(grad, budget, dim):

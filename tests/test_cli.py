@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,21 @@ def test_gen_then_inspect_pipeline(tmp_path, capsys):
     assert main(["inspect", "--net", str(out)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["nodes"] == 12
+
+
+def test_readme_config_runs_as_written(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", str(cfg), "--trials", "20", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 50
+
+
+def test_unknown_config_key_is_usage_error(p5_file, tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(CONFIG.format(net=p5_file).replace("init = iii", "init = iii\ninit_budgte = 5"))
+    assert main(["init-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "init_budgte" in err and "inner" in err
+    assert "Traceback" not in err

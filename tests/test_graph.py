@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import floyd_warshall
+from scipy.sparse.csgraph import connected_components, floyd_warshall
 
 from polyanet.graph import (
     DisconnectedGraphError,
@@ -76,6 +78,22 @@ def test_disconnected_reports_components():
     assert exc.value.components == [[0, 1], [2, 3]]
     net = parse_network(text, largest_component=True)
     assert net.node_count == 2
+
+
+def test_components_match_csgraph(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        pairs = rng.integers(0, n, (int(rng.integers(0, n + 1)), 2))
+        edges = [(int(i), int(j)) for i, j in pairs if i != j]
+        net = Network.from_edges(n, edges, require_connected=False)
+        count, labels = connected_components(net.closed_adjacency, directed=False)
+        expected = sorted((np.flatnonzero(labels == c).tolist() for c in range(count)),
+                          key=lambda c: c[0])
+        assert net.is_connected() == (count == 1)
+        if count > 1:
+            with pytest.raises(DisconnectedGraphError) as exc:
+                Network.from_edges(n, edges)
+            assert exc.value.components == expected
 
 
 def test_format_sniffing_and_roundtrip(tmp_path):
@@ -162,6 +180,20 @@ def test_nesting_matches_brute_force(rng):
             if any(j != i and closed[i] < closed[j] for j in range(n))
         )
         assert outer_nodes(net).tolist() == expected
+
+
+def test_structure_builds_no_dense_matrix():
+    # A dense N x N bool copy of BA(5000, 1) alone is 25 MB.
+    edges = generate_barabasi_albert(5000, 1, seed=3).edges()
+    tracemalloc.start()
+    try:
+        net = Network.from_edges(5000, edges)
+        outer_nodes(net)
+        target_set_layered(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # -- distances and centrality --------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyanet.engine import UrnState
-from polyanet.graph import Network
+from polyanet.graph import Network, generate_barabasi_albert
 from polyanet.optimize import (
     DescentConfig,
     frank_wolfe_simplex,
@@ -251,3 +251,12 @@ def test_convergence_trace_csv(tmp_path):
                                     lambda x: 2 * (x - target), 1.0, 2)
     with pytest.raises(ValueError, match="track_history"):
         write_convergence_csv(res_plain, tmp_path / "none.csv")
+
+
+def test_capped_descent_reports_gap_of_returned_allocation():
+    net = generate_barabasi_albert(30, 2, seed=1)
+    red = np.full(30, 10.0)
+    res = optimize_init(net, red, 300.0, DescentConfig(max_iterations=5))
+    assert res.iterations == 5 and not res.converged
+    g = infection_rate_time1(net, red, res.allocation)[1]
+    assert res.gap == float(g @ res.allocation - 300.0 * g.min())
