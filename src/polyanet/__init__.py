@@ -1,6 +1,6 @@
 """Polya network contagion: simulation, exact oracles, and allocation policies."""
 
-from .engine import UrnState, as_schedule, run_trial
+from .engine import UrnState, as_schedule, iter_draws
 from .graph import (
     DisconnectedGraphError,
     GraphFormatError,
@@ -23,8 +23,8 @@ from .harness import (
     ComparisonResult,
     ExperimentConfig,
     SummarySeries,
-    compare_strategies,
     emit,
+    run_arms,
     run_experiment,
     trial_generator,
 )

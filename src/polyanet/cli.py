@@ -118,7 +118,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+_NETWORK_KEYS = ("file", "ba_nodes", "ba_m", "ba_seed")
+
+
 def _load_config_network(spec: dict) -> graph.Network:
+    for key in spec:
+        if key not in _NETWORK_KEYS:
+            raise UsageError(f"unknown key {key!r} in [network]; expected one of {_NETWORK_KEYS}")
     if "file" in spec:
         return graph.load_network(spec["file"])
     if "ba_nodes" in spec:
@@ -184,10 +190,8 @@ def _cmd_run(args):
     net = _load_config_network(net_spec)
     configs = harness.build_configs(run, arms, seed=args.seed,
                                     trials=args.trials, steps=args.steps)
-    series = [harness.run_experiment(net, cfg, n_jobs=args.jobs,
-                                     arm=k if args.independent else 0)
-              for k, cfg in enumerate(configs)]
-    result = harness.emit(series, args.format, args.out)
+    arms_run = harness.run_arms(net, configs, independent=args.independent, n_jobs=args.jobs)
+    result = harness.emit(arms_run, args.format, args.out)
     if args.out:
         print(f"wrote {args.out}")
     else:

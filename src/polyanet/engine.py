@@ -5,12 +5,14 @@ mass.  A node's *super urn* pools the urns of its closed neighbourhood.  At
 each time step every node draws from its super urn by comparing a uniform
 variate against the super-urn red proportion, then adds reinforcement mass
 of the drawn colour to its own urn.
+
+A state holds one trial, with per-node arrays of shape ``(N,)``, or a batch
+of independent trials advanced together, with arrays of shape
+``(trials, N)``: one row per trial, so per-trial reductions run along a
+contiguous row.  :func:`iter_draws` is the one loop over time steps.
 """
 
 from __future__ import annotations
-
-import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -42,38 +44,31 @@ class UrnState:
     ----------
     net : Network
     red_init, black_init : array-like or scalar
-        Nonnegative initial ball masses per node.  Every node must have
-        positive total mass and a nonempty super urn.
-    keep_history : bool, optional
-        Retain the draw matrix and per-step proportion snapshots (needed for
-        trace export and from-scratch cross-checks; off by default since the
-        running metrics do not require it).
+        Nonnegative initial ball masses, broadcast to ``(N,)`` for one trial
+        or ``(trials, N)`` for a batch, whichever the inputs' shapes give.
+        Every node must have positive total mass and a nonempty super urn.
     """
 
-    def __init__(self, net: Network, red_init, black_init, *, keep_history: bool = False):
+    def __init__(self, net: Network, red_init, black_init):
         n = net.node_count
-        red = np.broadcast_to(np.asarray(red_init, dtype=float), (n,)).copy()
-        black = np.broadcast_to(np.asarray(black_init, dtype=float), (n,)).copy()
+        shape = np.broadcast_shapes(np.shape(red_init), np.shape(black_init), (n,))
+        if len(shape) > 2:
+            raise ValueError(f"ball masses must have shape (N,) or (trials, N), got {shape}")
+        red = np.broadcast_to(np.asarray(red_init, dtype=float), shape).copy()
+        black = np.broadcast_to(np.asarray(black_init, dtype=float), shape).copy()
         if (red < 0).any() or (black < 0).any():
             raise ValueError("ball masses must be nonnegative")
         total = red + black
         if (total <= 0).any():
-            bad = (np.flatnonzero(total <= 0) + 1).tolist()
-            raise ValueError(f"empty urn at nodes {bad}: every node needs positive total mass")
+            raise ValueError(f"empty urn at nodes {_bad_nodes(total <= 0)}: "
+                             "every node needs positive total mass")
         self.net = net
         self.red = red
         self.total = total
-        self.super_red = net.closed_adjacency @ red
-        self.super_total = net.closed_adjacency @ total
+        self.rebuild()
         if (self.super_total <= 0).any():
-            bad = (np.flatnonzero(self.super_total <= 0) + 1).tolist()
-            raise ValueError(f"empty super urn at nodes {bad}")
+            raise ValueError(f"empty super urn at nodes {_bad_nodes(self.super_total <= 0)}")
         self.time = 0
-        self.keep_history = keep_history
-        self.draw_log: list[np.ndarray] = []
-        self.susceptibility_log: list[np.ndarray] = []
-        self.exposure_log: list[np.ndarray] = []
-        self._steps_since_rebuild = 0
 
     @property
     def node_count(self) -> int:
@@ -93,20 +88,24 @@ class UrnState:
     def super_black(self) -> np.ndarray:
         return self.super_total - self.super_red
 
-    def copy(self) -> "UrnState":
+    def _select(self, take) -> "UrnState":
         dup = object.__new__(UrnState)
         dup.net = self.net
-        dup.red = self.red.copy()
-        dup.total = self.total.copy()
-        dup.super_red = self.super_red.copy()
-        dup.super_total = self.super_total.copy()
+        for name in ("red", "total", "super_red", "super_total"):
+            setattr(dup, name, take(getattr(self, name)))
         dup.time = self.time
-        dup.keep_history = self.keep_history
-        dup.draw_log = list(self.draw_log)
-        dup.susceptibility_log = list(self.susceptibility_log)
-        dup.exposure_log = list(self.exposure_log)
         dup._steps_since_rebuild = self._steps_since_rebuild
         return dup
+
+    def copy(self) -> "UrnState":
+        return self._select(np.copy)
+
+    def rows(self) -> list:
+        """One-trial states viewing each row of a batch (``[self]`` for one
+        trial); they share this state's arrays."""
+        if self.red.ndim == 1:
+            return [self]
+        return [self._select(lambda a, k=k: a[k]) for k in range(self.red.shape[0])]
 
     def draw(self, uniforms, strict: bool = False) -> np.ndarray:
         """Draw colours for every node from per-node uniforms; no state change.
@@ -122,32 +121,26 @@ class UrnState:
         return z.astype(np.int8)
 
     def advance(self, draws, delta_red, delta_black) -> None:
-        """Apply a draw vector: add reinforcement of the drawn colour to each
-        node's urn and update the super-urn sums incrementally."""
+        """Apply draws: add reinforcement of the drawn colour to each node's
+        urn and update the super-urn sums incrementally, both colours of
+        every trial in one sparse product."""
         z = np.asarray(draws)
-        n = self.node_count
-        dr = np.asarray(delta_red, dtype=float)
-        db = np.asarray(delta_black, dtype=float)
-        if dr.shape != (n,):
-            dr = np.broadcast_to(dr, (n,))
-        if db.shape != (n,):
-            db = np.broadcast_to(db, (n,))
+        shape = self.red.shape
+        dr = np.broadcast_to(np.asarray(delta_red, dtype=float), shape)
+        db = np.broadcast_to(np.asarray(delta_black, dtype=float), shape)
         if (dr < 0).any() or (db < 0).any():
             raise ValueError("reinforcement masses must be nonnegative")
-        red_add = np.where(z == 1, dr, 0.0)
-        total_add = np.where(z == 1, dr, db)
-        self.red += red_add
-        self.total += total_add
-        self.super_red += self.net.closed_adjacency @ red_add
-        self.super_total += self.net.closed_adjacency @ total_add
+        drew_red = z == 1
+        adds = np.stack([np.where(drew_red, dr, 0.0), np.where(drew_red, dr, db)])
+        self.red += adds[0]
+        self.total += adds[1]
+        sums = _closed_sums(self.net, adds)
+        self.super_red += sums[0]
+        self.super_total += sums[1]
         self.time += 1
         self._steps_since_rebuild += 1
         if self._steps_since_rebuild >= REBUILD_INTERVAL:
             self.rebuild()
-        if self.keep_history:
-            self.draw_log.append(np.asarray(z, dtype=np.int8).copy())
-            self.susceptibility_log.append(self.susceptibility)
-            self.exposure_log.append(self.exposure)
 
     def step(self, uniforms, delta_red, delta_black, strict: bool = False) -> np.ndarray:
         """Draw every node once and apply the reinforcements; returns draws."""
@@ -157,8 +150,7 @@ class UrnState:
 
     def rebuild(self) -> None:
         """Recompute super-urn sums from the per-node masses."""
-        self.super_red = self.net.closed_adjacency @ self.red
-        self.super_total = self.net.closed_adjacency @ self.total
+        self.super_red, self.super_total = _closed_sums(self.net, np.stack([self.red, self.total]))
         self._steps_since_rebuild = 0
 
     def metrics(self):
@@ -167,59 +159,30 @@ class UrnState:
         s = self.exposure
         return float(u.mean()), float(s.mean()), u, s
 
-    # -- history-backed exports ------------------------------------------
 
-    def _require_history(self):
-        if not self.keep_history:
-            raise ValueError("state was created with keep_history=False")
-
-    def draw_history(self) -> np.ndarray:
-        """Draw matrix with shape (node_count, time)."""
-        self._require_history()
-        if not self.draw_log:
-            return np.zeros((self.node_count, 0), dtype=np.int8)
-        return np.stack(self.draw_log, axis=1)
-
-    def write_trace_csv(self, path) -> Path:
-        """Per-(time, node) trace: draw, urn proportion, super-urn proportion."""
-        self._require_history()
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "node", "Z", "U", "S"])
-            for t, (z, u, s) in enumerate(
-                    zip(self.draw_log, self.susceptibility_log, self.exposure_log), start=1):
-                for i in range(self.node_count):
-                    w.writerow([t, i + 1, int(z[i]), repr(float(u[i])), repr(float(s[i]))])
-        return path
-
-    def write_summary_csv(self, path) -> Path:
-        """Per-time summary: mean urn / super-urn proportions, fraction infected."""
-        self._require_history()
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "susceptibility", "exposure", "fraction_infected"])
-            for t, (z, u, s) in enumerate(
-                    zip(self.draw_log, self.susceptibility_log, self.exposure_log), start=1):
-                w.writerow([t, repr(float(u.mean())), repr(float(s.mean())),
-                            repr(float(z.mean()))])
-        return path
+def _closed_sums(net: Network, masses: np.ndarray) -> np.ndarray:
+    """Closed-neighbourhood sums of per-node masses along the last axis, as
+    one C-contiguous array of the same shape.  Each sum adds the neighbours
+    in node order, as a single-vector product does, so batching trials does
+    not change a bit."""
+    flat = masses.reshape(-1, net.node_count)
+    return np.ascontiguousarray((net.closed_adjacency @ flat.T).T).reshape(masses.shape)
 
 
-def run_trial(net: Network, red_init, black_init, schedule, uniforms,
-              *, strict: bool = False, keep_history: bool = False):
-    """Run one trial with an explicit matrix of uniforms.
+def _bad_nodes(mask: np.ndarray) -> list:
+    return (np.unique(np.nonzero(mask)[-1]) + 1).tolist()
 
-    ``uniforms`` has shape (node_count, steps); column t drives the draws at
-    time t+1.  Returns ``(state, draws)`` where draws has the same shape.
+
+def iter_draws(state: UrnState, schedule, uniforms, *, strict: bool = False):
+    """Advance ``state`` once per element of ``uniforms`` and yield each
+    step's draws.
+
+    ``uniforms`` yields one array per step, shaped like the state's masses.
+    ``schedule`` is anything :func:`as_schedule` accepts; it is called with
+    the time of the step being drawn (1 for the first) and the state before
+    that step.
     """
     sched = as_schedule(schedule)
-    uniforms = np.asarray(uniforms, dtype=float)
-    state = UrnState(net, red_init, black_init, keep_history=keep_history)
-    steps = uniforms.shape[1]
-    draws = np.empty((net.node_count, steps), dtype=np.int8)
-    for t in range(steps):
-        dr, db = sched(t + 1, state)
-        draws[:, t] = state.step(uniforms[:, t], dr, db, strict=strict)
-    return state, draws
+    for u in uniforms:
+        dr, db = sched(state.time + 1, state)
+        yield state.step(u, dr, db, strict=strict)

@@ -91,6 +91,7 @@ class Network:
         self.node_count = n
         self.closed_adjacency = closed
         self._components = _components(closed)
+        self._closeness = None  # filled by closeness_centrality
         if require_connected and len(self._components) > 1:
             raise DisconnectedGraphError(self._components)
 
@@ -356,10 +357,15 @@ def all_pairs_distances(net: Network) -> np.ndarray:
 def closeness_centrality(net: Network) -> np.ndarray:
     """Closeness score of each node: reciprocal of its total distance to all
     other nodes.  A single-node network gets score 0 by convention.
+
+    Computed once per network and kept on it; the returned array is
+    read-only.
     """
-    if net.node_count == 1:
-        return np.zeros(1)
-    return 1.0 / _distances(net).sum(axis=1)
+    if net._closeness is None:
+        scores = np.zeros(1) if net.node_count == 1 else 1.0 / _distances(net).sum(axis=1)
+        scores.flags.writeable = False
+        net._closeness = scores
+    return net._closeness
 
 
 @dataclass(frozen=True)

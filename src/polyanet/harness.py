@@ -3,8 +3,10 @@
 Reproducibility contract: the uniforms that drive trial ``s`` of arm ``a``
 form an independent Philox stream keyed by ``(master_seed, arm_offset | s)``;
 at each time step the stream supplies one uniform per node, in node order.
-Streams therefore depend only on the key, never on scheduling, so parallel
-and sequential execution aggregate to identical results.  Under common
+Streams therefore depend only on the key, never on scheduling: trials are
+stepped together in blocks (one row of a batched :class:`UrnState` per
+trial) and split across worker processes, and every split aggregates to
+identical results.  Under common
 random numbers every arm uses arm offset 0 and trials are pathwise paired
 across arms.
 """
@@ -15,18 +17,21 @@ import configparser
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .engine import UrnState
+from .engine import UrnState, iter_draws
 from .graph import Network
 from .optimize import DescentConfig
 from .policies import StrategySpec, cure_allocator, init_allocation
 
 _MASK64 = (1 << 64) - 1
 _ARM_SHIFT = 40  # trial index occupies the low 40 bits of the stream key
+# Cells (trials x nodes) stepped together: bounds a block's working set to a
+# few MB whatever the network size.
+_BLOCK_CELLS = 1 << 16
 
 
 def trial_generator(master_seed: int, trial: int, arm: int = 0) -> np.random.Generator:
@@ -123,46 +128,38 @@ def _descent_config(cfg: ExperimentConfig):
     return DescentConfig(max_iterations=cfg.descent_iterations)
 
 
-def _step_policies(net: Network, cfg: ExperimentConfig):
-    """Build ``red(t, state) -> deltas`` and ``black(t, state, red_step) -> deltas``."""
+def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
+              arm: int) -> np.ndarray:
+    """Per-trial node-mean draws of the given trials, shape (len(trials), steps).
+
+    Trials are stepped together in blocks of at most ``_BLOCK_CELLS // N``
+    rows; row ``k`` of a block draws from trial ``trials[k]``'s own stream.
+    """
     n = net.node_count
     if cfg.delta is not None:
         both = np.full(n, float(cfg.delta))
-        return (lambda t, state: both), (lambda t, state, red_step: both)
-    if cfg.delta_r is not None:
-        red_vec = np.full(n, float(cfg.delta_r))
+        schedule = (both, both)
     else:
-        red_vec = np.full(n, cfg.red_step_budget / n)
-    red_policy = lambda t, state: red_vec
-    if cfg.delta_b is not None:
-        black_vec = np.full(n, float(cfg.delta_b))
-        black_policy = lambda t, state, red_step: black_vec
-    else:
-        spec = StrategySpec("cure", cfg.cure_strategy, descent=_descent_config(cfg))
-        allocator = cure_allocator(spec, net, cfg.cure_budget)
-        black_policy = lambda t, state, red_step: allocator(t, state, red_step)
-    return red_policy, black_policy
-
-
-def _simulate_block(net: Network, cfg: ExperimentConfig, red, black,
-                    lo: int, hi: int, arm: int, keep_draws: bool):
-    """Run trials [lo, hi); returns per-trial node-mean draws (and raw draws)."""
-    red_policy, black_policy = _step_policies(net, cfg)
-    n = net.node_count
-    means = np.empty((hi - lo, cfg.steps))
-    draws = np.empty((hi - lo, n, cfg.steps), dtype=np.int8) if keep_draws else None
-    template = UrnState(net, red, black)
-    for s in range(lo, hi):
-        rng = trial_generator(cfg.seed, s, arm)
-        state = template.copy()
-        for t in range(1, cfg.steps + 1):
-            dr = red_policy(t, state)
-            db = black_policy(t, state, dr)
-            z = state.step(rng.random(n), dr, db)
-            means[s - lo, t - 1] = z.mean()
-            if keep_draws:
-                draws[s - lo, :, t - 1] = z
-    return means, draws
+        if cfg.delta_r is not None:
+            red_step = np.full(n, float(cfg.delta_r))
+        else:
+            red_step = np.full(n, cfg.red_step_budget / n)
+        if cfg.delta_b is not None:
+            schedule = (red_step, np.full(n, float(cfg.delta_b)))
+        else:
+            spec = StrategySpec("cure", cfg.cure_strategy, descent=_descent_config(cfg))
+            allocator = cure_allocator(spec, net, cfg.cure_budget)
+            schedule = lambda t, state: (red_step, allocator(t, state, red_step))
+    means = np.empty((len(trials), cfg.steps))
+    rows = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(trials), rows):
+        block = trials[lo:lo + rows]
+        streams = [trial_generator(cfg.seed, s, arm) for s in block]
+        state = UrnState(net, np.broadcast_to(red, (len(block), n)), black)
+        uniforms = (np.stack([g.random(n) for g in streams]) for _ in range(cfg.steps))
+        for t, z in enumerate(iter_draws(state, schedule, uniforms)):
+            means[lo:lo + len(block), t] = z.mean(axis=1)
+    return means
 
 
 @dataclass
@@ -175,11 +172,10 @@ class SummarySeries:
     stderr: np.ndarray
     trials: int
     per_trial_means: np.ndarray | None = None
-    draws: np.ndarray | None = None
 
 
 def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
-                   arm: int = 0, keep_draws: bool = False) -> SummarySeries:
+                   arm: int = 0) -> SummarySeries:
     """Monte Carlo estimate of the average infection rate over time.
 
     Deterministic given the config and master seed; trials may be executed
@@ -190,18 +186,13 @@ def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
     red, black = resolve_initialization(net, cfg)
     trials = cfg.trials
     if n_jobs <= 1 or trials < 2 * n_jobs:
-        means, draws = _simulate_block(net, cfg, red, black, 0, trials, arm, keep_draws)
+        means = _simulate(net, cfg, red, black, range(trials), arm)
     else:
         bounds = np.linspace(0, trials, n_jobs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(_simulate_block, net, cfg, red, black,
-                            int(lo), int(hi), arm, keep_draws)
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-            ]
-            parts = [f.result() for f in futures]
-        means = np.concatenate([p[0] for p in parts], axis=0)
-        draws = np.concatenate([p[1] for p in parts], axis=0) if keep_draws else None
+            futures = [pool.submit(_simulate, net, cfg, red, black, range(lo, hi), arm)
+                       for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+            means = np.concatenate([f.result() for f in futures], axis=0)
     stderr = means.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(cfg.steps)
     return SummarySeries(
         label=cfg.label or "arm",
@@ -210,7 +201,6 @@ def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
         stderr=stderr,
         trials=trials,
         per_trial_means=means,
-        draws=draws,
     )
 
 
@@ -246,24 +236,13 @@ class ComparisonResult:
         return ArmDifference((sa.label, sb.label), sa.times, diff, pooled, paired, z)
 
 
-def compare_strategies(net: Network, template: ExperimentConfig, strategies,
-                       *, vary: str = "init", common_random_numbers: bool = True,
-                       n_jobs: int = 1, keep_draws: bool = False) -> ComparisonResult:
-    """Run one arm per strategy id, sharing the network and (by default) the
-    per-trial uniform streams so differences are strategy-driven."""
-    if vary not in ("init", "cure"):
-        raise ValueError("vary must be 'init' or 'cure'")
-    arms = []
-    for k, strat in enumerate(strategies):
-        family = strat.family if isinstance(strat, StrategySpec) else str(strat)
-        if vary == "init":
-            cfg = replace(template, init_strategy=family, label=f"init:{family}")
-        else:
-            cfg = replace(template, cure_strategy=family, label=f"cure:{family}")
-        arm_offset = 0 if common_random_numbers else k
-        arms.append(run_experiment(net, cfg, n_jobs=n_jobs, arm=arm_offset,
-                                   keep_draws=keep_draws))
-    return ComparisonResult(arms)
+def run_arms(net: Network, configs, *, independent: bool = False,
+             n_jobs: int = 1) -> ComparisonResult:
+    """Run one arm per config.  Arms share the per-trial streams (common
+    random numbers), so differences are strategy-driven, unless
+    ``independent`` gives arm ``k`` the stream offset ``k``."""
+    return ComparisonResult([run_experiment(net, cfg, n_jobs=n_jobs, arm=k if independent else 0)
+                             for k, cfg in enumerate(configs)])
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +365,7 @@ class ConfigKeyError(ValueError):
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"init", "cure"}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
 def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
@@ -393,7 +373,8 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
     (highest precedence) into one :class:`ExperimentConfig` per arm.
 
     Raises :class:`ConfigKeyError` for a key that is neither an
-    :class:`ExperimentConfig` field nor the ``init``/``cure`` alias."""
+    :class:`ExperimentConfig` field nor the ``init``/``cure`` alias, and for
+    a missing ``steps`` or ``trials``."""
     configs = []
     for name, arm in arms:
         merged = dict(run)
@@ -402,6 +383,9 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
         for key in merged:
             if key not in _CONFIG_KEYS:
                 raise ConfigKeyError(f"unknown key {key!r} in arm {name!r}")
+        for key in _REQUIRED_KEYS:
+            if key not in merged:
+                raise ConfigKeyError(f"missing key {key!r} in arm {name!r}")
         merged.setdefault("label", name)
         strategy = merged.pop("init", None)
         if strategy is not None:

@@ -102,14 +102,16 @@ def _static_weights(net: Network, nodes: np.ndarray, family: str) -> np.ndarray:
 
 def _spread(net: Network, nodes: np.ndarray, weights: np.ndarray, budget: float,
             family: str) -> np.ndarray:
-    total = weights.sum()
-    if total <= 0:
+    """Split ``budget`` over ``nodes`` in proportion to ``weights`` along the
+    last axis: one allocation per row of a batch of weights."""
+    total = weights.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         log.warning("strategy %s: all weights zero on the target set; falling back to uniform",
                     family)
-        weights = np.ones(nodes.shape[0])
-        total = weights.sum()
-    out = np.zeros(net.node_count)
-    out[nodes] = budget * weights / total
+        weights = np.where(total <= 0, 1.0, weights)
+        total = weights.sum(axis=-1, keepdims=True)
+    out = np.zeros(weights.shape[:-1] + (net.node_count,))
+    out[..., nodes] = budget * weights / total
     return out
 
 
@@ -132,7 +134,9 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
     The target set and the structural part of the weights are computed once;
     only the super-urn proportions are re-read each step.  Family (i) runs
     the exposure optimizer each step against the supplied infection-side
-    reinforcement (zero if not given).
+    reinforcement (zero if not given).  A batched state gets one allocation
+    per trial row; the weighted families read every row at once and family
+    (i) optimizes each row in turn.
     """
     if spec.side != "cure":
         raise ValueError(f"expected a cure strategy, got {spec}")
@@ -141,8 +145,10 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
 
     if spec.uses_optimizer:
         def optimize_policy(t: int, state: UrnState, infection_step=0.0) -> np.ndarray:
-            return optimize_cure_step(net, state, budget, infection_step,
-                                      spec.descent).allocation
+            allocations = [optimize_cure_step(net, row, budget, infection_step,
+                                              spec.descent).allocation
+                           for row in state.rows()]
+            return np.reshape(allocations, state.red.shape)
         return optimize_policy
 
     targets = target_set_for(net, spec.family).as_array()
@@ -150,7 +156,9 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
     weighted = spec.family in _WEIGHTED
 
     def policy(t: int, state: UrnState, infection_step=0.0) -> np.ndarray:
-        weights = static * state.exposure[targets] if weighted else static
+        # take() keeps each trial's row contiguous (fancy indexing would not),
+        # so the row sums in _spread match a single trial's bit for bit.
+        weights = static * state.exposure.take(targets, axis=-1) if weighted else static
         return _spread(net, targets, weights, budget, spec.family)
 
     return policy

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polyanet.engine import UrnState, iter_draws
 from polyanet.graph import Network
 
 
@@ -34,6 +35,13 @@ def random_connected_network(rng, n, extra_edge_prob=0.3):
 
 def random_tree(rng, n):
     return random_connected_network(rng, n, extra_edge_prob=0.0)
+
+
+def trial_draws(net, red, black, schedule, uniforms, strict=False):
+    """Draw matrix (node_count, steps) of one trial driven by the columns of
+    ``uniforms`` (node_count, steps)."""
+    state = UrnState(net, red, black)
+    return np.stack(list(iter_draws(state, schedule, uniforms.T, strict=strict)), axis=1)
 
 
 # The 8-node instance used for the game and curing-optimizer checks: a hub

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from polyanet.engine import UrnState, run_trial
+from polyanet.engine import UrnState
 from polyanet.graph import (
     Network,
     generate_barabasi_albert,
@@ -18,7 +18,7 @@ from polyanet.graph import (
     target_set_dense,
     target_set_layered,
 )
-from polyanet.harness import ExperimentConfig, compare_strategies, emit, run_experiment
+from polyanet.harness import ExperimentConfig, build_configs, emit, run_arms, run_experiment
 from polyanet.optimize import DescentConfig, nash_solve, optimize_init
 from polyanet.oracle import (
     ExposureObjective,
@@ -34,6 +34,7 @@ from conftest import (
     random_connected_network,
     random_tree,
     star_network,
+    trial_draws,
 )
 
 
@@ -110,8 +111,8 @@ def test_criterion_03_exchangeability_and_colour_symmetry():
     db = rng.uniform(0.1, 2, 12)
     for trial in range(50):
         uniforms = rng.random((12, 10))
-        _, z = run_trial(net, red, black, (dr, db), uniforms)
-        _, z_swapped = run_trial(net, black, red, (db, dr), 1.0 - uniforms, strict=True)
+        z = trial_draws(net, red, black, (dr, db), uniforms)
+        z_swapped = trial_draws(net, black, red, (db, dr), 1.0 - uniforms, strict=True)
         assert (z_swapped == 1 - z).all()
         assert int(z_swapped.sum()) == z.size - int(z.sum())  # rates are complementary
 
@@ -131,8 +132,8 @@ def test_criterion_04_pathwise_domination():
         db_tab = rng.uniform(0, 2, (steps, nodes))
         schedule = lambda t, state: (dr_tab[t - 1], db_tab[t - 1])
         uniforms = rng.random((nodes, steps))
-        _, z = run_trial(net, red, black, schedule, uniforms)
-        _, z_star = run_trial(net, red, bumped, schedule, uniforms)
+        z = trial_draws(net, red, black, schedule, uniforms)
+        z_star = trial_draws(net, red, bumped, schedule, uniforms)
         assert (z_star <= z).all()
 
 
@@ -301,18 +302,18 @@ def test_criterion_10_qualitative_figure_reproduction():
     net = generate_barabasi_albert(100, 1, seed=7)
     budget = 10.0 * net.node_count
 
-    init_template = ExperimentConfig(steps=50, trials=1000, seed=13,
-                                     red_budget=budget, init_budget=budget, delta=5.0)
-    init_arms = compare_strategies(net, init_template, ["ii", "iii"], vary="init")
+    init_run = dict(steps=50, trials=1000, seed=13, red_budget=budget, init_budget=budget,
+                    delta=5.0)
+    init_arms = run_arms(net, build_configs(init_run, [(f, {"init": f}) for f in ("ii", "iii")]))
     diff = init_arms.difference(0, 1)  # uniform minus inner targeting
     for n in (10, 50):
         z = diff.mean_difference[n - 1] / diff.stderr_pooled[n - 1]
         assert z > 3.0, f"init separation at n={n}: z={z:.2f}"
 
-    cure_template = ExperimentConfig(steps=50, trials=500, seed=17, red_budget=budget,
-                                     black_values=tuple([10.0] * 100),
-                                     delta_r=10.0, cure_budget=budget)
-    cure_arms = compare_strategies(net, cure_template, ["ii", "iii", "iv"], vary="cure")
+    cure_run = dict(steps=50, trials=500, seed=17, red_budget=budget,
+                    black_values=tuple([10.0] * 100), delta_r=10.0, cure_budget=budget)
+    cure_arms = run_arms(net, build_configs(cure_run, [(f, {"cure": f})
+                                                       for f in ("ii", "iii", "iv")]))
     z_scores = []
     for k in (1, 2):
         d = cure_arms.difference(0, k)

@@ -174,3 +174,25 @@ def test_unknown_config_key_is_usage_error(p5_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "init_budgte" in err and "inner" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["steps", "trials"])
+def test_missing_run_length_is_usage_error(p5_file, tmp_path, capsys, key):
+    cfg = tmp_path / "short.ini"
+    text = CONFIG.format(net=p5_file)
+    cfg.write_text(re.sub(rf"^{key} = .*\n", "", text, flags=re.M))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"missing key '{key}'" in err and "uniform" in err
+    assert "Traceback" not in err
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), f"--{key}", "2"]) == 0
+
+
+def test_unknown_network_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "net-typo.ini"
+    cfg.write_text(CONFIG.format(net="unused").replace("file = unused", "ba_nodes = 20\nba_mm = 5"))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "ba_mm" in err and "[network]" in err
+    assert "Traceback" not in err

@@ -1,0 +1,101 @@
+"""The reproducibility contract, checked against a one-trial reference loop.
+
+``run_experiment`` steps trials in blocks and may split them across worker
+processes; its per-trial means must equal, bit for bit, those of a loop that
+runs one :class:`UrnState` per trial on that trial's own stream.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polyanet.harness as harness
+from polyanet.engine import UrnState
+from polyanet.graph import Network
+from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
+from polyanet.optimize import DescentConfig
+from polyanet.policies import FAMILIES, StrategySpec, cure_allocator
+
+CONTRACT = settings(derandomize=True, deadline=None, max_examples=6, database=None)
+DESCENT = 5  # in-loop optimizer iterations of family i
+
+
+@st.composite
+def networks(draw):
+    """Random spanning tree on 2..12 nodes plus a few extra edges; eight or
+    more nodes take numpy's pairwise summation off its sequential path."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return Network.from_edges(n, sorted(edges))
+
+
+def reference_means(net, cfg, arm):
+    """Per-trial node-mean draws, one trial at a time."""
+    n = net.node_count
+    red, black = resolve_initialization(net, cfg)
+    if cfg.delta is not None:
+        red_step = black_step = np.full(n, float(cfg.delta))
+        allocator = None
+    else:
+        red_step = np.full(n, cfg.red_step_budget / n)
+        spec = StrategySpec("cure", cfg.cure_strategy,
+                            descent=DescentConfig(max_iterations=cfg.descent_iterations))
+        allocator = cure_allocator(spec, net, cfg.cure_budget)
+    means = np.empty((cfg.trials, cfg.steps))
+    for s in range(cfg.trials):
+        rng = trial_generator(cfg.seed, s, arm)
+        state = UrnState(net, red, black)
+        for t in range(1, cfg.steps + 1):
+            db = black_step if allocator is None else allocator(t, state, red_step)
+            means[s, t - 1] = state.step(rng.random(n), red_step, db).mean()
+    return means
+
+
+@pytest.mark.parametrize("side", ["init", "cure"])
+@pytest.mark.parametrize("family", FAMILIES)
+@CONTRACT
+@given(net=networks(), trials=st.integers(1, 9), block_rows=st.integers(1, 4),
+       steps=st.integers(1, 4), seed=st.integers(0, 2**32), arm=st.integers(0, 3),
+       n_jobs=st.sampled_from([1, 2]))
+def test_run_experiment_matches_one_trial_reference(side, family, net, trials, block_rows,
+                                                    steps, seed, arm, n_jobs):
+    n = net.node_count
+    if side == "init":
+        cfg = ExperimentConfig(steps=steps, trials=trials, seed=seed, red_budget=2.0 * n,
+                               init_strategy=family, init_budget=1.5 * n, delta=1.0,
+                               descent_iterations=DESCENT)
+    else:
+        cfg = ExperimentConfig(steps=steps, trials=trials, seed=seed, red_budget=2.0 * n,
+                               black_values=(1.0,) * n, red_step_budget=1.0 * n,
+                               cure_strategy=family, cure_budget=1.5 * n,
+                               descent_iterations=DESCENT)
+    # Blocks of block_rows trials, so that trial counts fall on both sides
+    # of the block bound.
+    with mock.patch.object(harness, "_BLOCK_CELLS", block_rows * n):
+        got = run_experiment(net, cfg, n_jobs=n_jobs, arm=arm).per_trial_means
+    assert (got == reference_means(net, cfg, arm)).all()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@CONTRACT
+@given(net=networks(), rows=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_batched_cure_allocation_spends_budget_per_row(family, net, rows, seed):
+    """Each row of a batched allocation spends the budget and equals the
+    allocation of that row alone, including rows with no red mass, where
+    the weighted families fall back to uniform."""
+    n = net.node_count
+    rng = np.random.default_rng(seed)
+    red = rng.uniform(0.0, 2.0, (rows, n)) * (rng.random((rows, 1)) < 0.7)
+    state = UrnState(net, red, rng.uniform(0.5, 2.0, (rows, n)))
+    budget = float(rng.uniform(0.5, 10.0))
+    spec = StrategySpec("cure", family, descent=DescentConfig(max_iterations=DESCENT))
+    policy = cure_allocator(spec, net, budget)
+    alloc = np.broadcast_to(policy(1, state, 1.0), (rows, n))
+    assert np.allclose(alloc.sum(axis=1), budget, rtol=1e-12, atol=0)
+    for k, row in enumerate(state.rows()):
+        assert (alloc[k] == policy(1, row, 1.0)).all()

@@ -1,12 +1,10 @@
-import csv
-
 import numpy as np
 import pytest
 
-from polyanet.engine import UrnState, as_schedule, run_trial
+from polyanet.engine import UrnState, as_schedule
 from polyanet.graph import Network
 
-from conftest import path_network, random_connected_network
+from conftest import path_network, random_connected_network, trial_draws
 
 
 def single_node():
@@ -85,8 +83,8 @@ def test_pathwise_domination_under_shared_uniforms(rng):
     bumped = black + rng.uniform(0, 2, 6)
     schedule = (rng.uniform(0, 2, 6), rng.uniform(0, 2, 6))
     uniforms = rng.random((6, 8))
-    _, z_base = run_trial(net, red, black, schedule, uniforms)
-    _, z_bumped = run_trial(net, red, bumped, schedule, uniforms)
+    z_base = trial_draws(net, red, black, schedule, uniforms)
+    z_bumped = trial_draws(net, red, bumped, schedule, uniforms)
     assert (z_bumped <= z_base).all()
 
 
@@ -99,8 +97,8 @@ def test_colour_swap_mirrors_draws(rng):
     dr = rng.uniform(0, 2, 5)
     db = rng.uniform(0, 2, 5)
     uniforms = rng.random((5, 10))
-    _, z = run_trial(net, red, black, (dr, db), uniforms)
-    _, z_swapped = run_trial(net, black, red, (db, dr), 1.0 - uniforms, strict=True)
+    z = trial_draws(net, red, black, (dr, db), uniforms)
+    z_swapped = trial_draws(net, black, red, (db, dr), 1.0 - uniforms, strict=True)
     assert (z_swapped == 1 - z).all()
 
 
@@ -108,16 +106,17 @@ def test_ball_conservation_is_exact(rng):
     net = random_connected_network(rng, 4)
     red0 = rng.uniform(0.5, 2, 4)
     black0 = rng.uniform(0.5, 2, 4)
-    state = UrnState(net, red0, black0, keep_history=True)
+    state = UrnState(net, red0, black0)
     deltas = []
+    draws = []
     totals_over_time = [state.total.copy()]
     for _ in range(30):
         dr = rng.uniform(0, 2, 4)
         db = rng.uniform(0, 2, 4)
         deltas.append((dr, db))
-        state.step(rng.random(4), dr, db)
+        draws.append(state.step(rng.random(4), dr, db))
         totals_over_time.append(state.total.copy())
-    z = state.draw_history()
+    z = np.stack(draws, axis=1)
     expected = red0 + black0
     for t, (dr, db) in enumerate(deltas):
         expected = expected + np.where(z[:, t] == 1, dr, db)
@@ -127,18 +126,19 @@ def test_ball_conservation_is_exact(rng):
 
 def test_incremental_super_sums_match_recomputation(rng):
     """After 1000 steps the incrementally maintained super-urn proportions
-    agree with a from-scratch evaluation over the retained history."""
+    agree with a from-scratch evaluation over the draw history."""
     net = random_connected_network(rng, 6)
     red0 = rng.uniform(0.5, 2, 6)
     black0 = rng.uniform(0.5, 2, 6)
-    state = UrnState(net, red0, black0, keep_history=True)
+    state = UrnState(net, red0, black0)
     schedule = []
+    draws = []
     for _ in range(1000):
         dr = rng.uniform(0, 1, 6)
         db = rng.uniform(0, 1, 6)
         schedule.append((dr, db))
-        state.step(rng.random(6), dr, db)
-    z = state.draw_history()
+        draws.append(state.step(rng.random(6), dr, db))
+    z = np.stack(draws, axis=1)
     red = red0.copy()
     total = red0 + black0
     for t, (dr, db) in enumerate(schedule):
@@ -167,25 +167,24 @@ def test_schedule_normalization(p3):
     assert fn(3, None) == (3, 0.0)
 
 
-def test_history_required_for_traces(p3):
-    state = UrnState(p3, [1, 1, 1], [1, 1, 1])
-    with pytest.raises(ValueError, match="keep_history"):
-        state.write_trace_csv("/tmp/never.csv")
-
-
-def test_trace_and_summary_csv(tmp_path, rng):
-    net = path_network(3)
-    state = UrnState(net, [1, 1, 1], [1, 0, 1], keep_history=True)
-    for _ in range(4):
-        state.step(rng.random(3), 1.0, 1.0)
-    trace = state.write_trace_csv(tmp_path / "trace.csv")
-    rows = list(csv.reader(trace.read_text().splitlines()))
-    assert rows[0] == ["time", "node", "Z", "U", "S"]
-    assert len(rows) == 1 + 4 * 3
-    assert rows[1][0] == "1" and rows[1][1] == "1"
-    summary = state.write_summary_csv(tmp_path / "summary.csv")
-    srows = list(csv.reader(summary.read_text().splitlines()))
-    assert srows[0] == ["time", "susceptibility", "exposure", "fraction_infected"]
-    assert len(srows) == 5
-    z = state.draw_history()
-    assert float(srows[1][3]) == z[:, 0].mean()
+def test_batch_rows_match_single_trials(rng):
+    """A batch of trials steps every row exactly as a one-trial state fed the
+    same uniforms and reinforcements would, bit for bit."""
+    net = random_connected_network(rng, 7)
+    red = rng.uniform(0.5, 2, 7)
+    black = rng.uniform(0.0, 2, (4, 7))
+    batch = UrnState(net, red, black)
+    singles = [UrnState(net, red, b) for b in black]
+    assert batch.red.shape == (4, 7)
+    for _ in range(20):
+        u = rng.random((4, 7))
+        dr = rng.uniform(0, 2, 7)
+        db = rng.uniform(0, 2, (4, 7))
+        z = batch.step(u, dr, db)
+        for k, single in enumerate(singles):
+            assert (single.step(u[k], dr, db[k]) == z[k]).all()
+    for single, row in zip(singles, batch.rows()):
+        for name in ("red", "total", "super_red", "super_total"):
+            assert (getattr(single, name) == getattr(row, name)).all()
+        assert row.time == batch.time == 20
+    assert batch.rows()[0].red.base is batch.red  # rows are views

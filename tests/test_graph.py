@@ -206,6 +206,22 @@ def test_closeness_k3():
     assert closeness_centrality(complete_network(3)).tolist() == [0.5, 0.5, 0.5]
 
 
+def test_closeness_is_computed_once_and_read_only(monkeypatch):
+    import polyanet.graph as graph_mod
+
+    net = path_network(5)
+    first = closeness_centrality(net)
+    calls = []
+    monkeypatch.setattr(graph_mod, "_distances",
+                        lambda n: calls.append(n) or pytest.fail("distances recomputed"))
+    assert closeness_centrality(net) is first
+    assert graph_mod.target_set_dense(net, prune=True).nodes == (1, 3)
+    assert calls == []
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
 def test_closeness_p5():
     assert closeness_centrality(path_network(5)).tolist() == [
         1 / 10, 1 / 7, 1 / 6, 1 / 7, 1 / 10]

@@ -8,10 +8,10 @@ from polyanet.harness import (
     ExperimentConfig,
     SummarySeries,
     build_configs,
-    compare_strategies,
     emit,
     load_config_file,
     parse_summary_csv,
+    run_arms,
     run_experiment,
     trial_generator,
 )
@@ -46,10 +46,10 @@ def test_config_validation():
 def test_trial_streams_are_scheduling_independent(p3):
     cfg = ExperimentConfig(**BASE)
     whole = run_experiment(p3, cfg)
-    from polyanet.harness import _simulate_block, resolve_initialization
+    from polyanet.harness import _simulate, resolve_initialization
     red, black = resolve_initialization(p3, cfg)
-    first, _ = _simulate_block(p3, cfg, red, black, 0, 120, 0, False)
-    second, _ = _simulate_block(p3, cfg, red, black, 120, 200, 0, False)
+    first = _simulate(p3, cfg, red, black, range(0, 120), 0)
+    second = _simulate(p3, cfg, red, black, range(120, 200), 0)
     assert (np.concatenate([first, second]) == whole.per_trial_means).all()
 
 
@@ -85,10 +85,12 @@ def test_symmetric_single_node_stays_at_half():
     assert (np.abs(series.mean_infection - 0.5) <= 3 * series.stderr + 1e-12).all()
 
 
+TWO_UNIFORM_ARMS = (dict(steps=3, trials=50, seed=2, red_budget=3.0, init_budget=3.0,
+                         delta=1.0), [("a", {"init": "ii"}), ("b", {"init": "ii"})])
+
+
 def test_identical_arms_share_uniform_streams(p3):
-    template = ExperimentConfig(steps=3, trials=50, seed=2, red_budget=3.0,
-                                init_budget=3.0, delta=1.0)
-    result = compare_strategies(p3, template, ["ii", "ii"], vary="init")
+    result = run_arms(p3, build_configs(*TWO_UNIFORM_ARMS))
     a, b = result.arms
     assert (a.per_trial_means == b.per_trial_means).all()
     diff = result.difference(0, 1)
@@ -97,10 +99,7 @@ def test_identical_arms_share_uniform_streams(p3):
 
 
 def test_independent_arms_differ(p3):
-    template = ExperimentConfig(steps=3, trials=50, seed=2, red_budget=3.0,
-                                init_budget=3.0, delta=1.0)
-    result = compare_strategies(p3, template, ["ii", "ii"], vary="init",
-                                common_random_numbers=False)
+    result = run_arms(p3, build_configs(*TWO_UNIFORM_ARMS), independent=True)
     a, b = result.arms
     assert not (a.per_trial_means == b.per_trial_means).all()
 
@@ -109,9 +108,9 @@ def test_inner_targeting_beats_uniform_at_time1(p5):
     """At time 1 the exact rates are ordered; the paired empirical series
     agrees within noise."""
     budget = 5.0
-    template = ExperimentConfig(steps=1, trials=3000, seed=21, red_budget=budget,
-                                init_budget=budget, delta=1.0)
-    result = compare_strategies(p5, template, ["ii", "iii"], vary="init")
+    run = dict(steps=1, trials=3000, seed=21, red_budget=budget, init_budget=budget, delta=1.0)
+    result = run_arms(p5, build_configs(run, [("uniform", {"init": "ii"}),
+                                              ("inner", {"init": "iii"})]))
     uniform, inner = result.arms
     red = np.full(5, 1.0)
     exact_uniform, _ = infection_rate_time1(p5, red, np.full(5, 1.0))
