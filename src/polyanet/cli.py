@@ -130,7 +130,7 @@ def _load_config_network(spec: dict) -> graph.Network:
     if "ba_nodes" in spec:
         return graph.generate_barabasi_albert(
             int(spec["ba_nodes"]), int(spec.get("ba_m", 1)), int(spec.get("ba_seed", 0)))
-    raise ValueError("[network] section needs 'file' or 'ba_nodes'")
+    raise UsageError("[network] section needs 'file' or 'ba_nodes'")
 
 
 def _cmd_gen(args):
@@ -183,6 +183,8 @@ def _cmd_run(args):
     """``init-run``, ``cure-run`` and ``compare``: arms share streams unless
     ``--independent`` gives arm ``k`` the stream offset ``k``."""
     net_spec, run, arms = harness.load_config_file(args.config)
+    if not arms:
+        raise UsageError(f"{args.config} has no [arm:NAME] section; add one per strategy arm")
     if args.arm is not None:
         arms = [a for a in arms if a[0] == args.arm]
         if not arms:

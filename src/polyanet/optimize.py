@@ -8,10 +8,8 @@ objectives.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +26,13 @@ class DescentConfig:
 
     ``max_iterations`` caps the outer loop; ``line_search_tol`` is the
     bracket width for the exact 1-D step-size search; ``gap_tol`` stops when
-    the duality gap falls below it; ``min_decrease`` (when positive) stops
-    once an iteration improves the objective by less than that.  Ties in the
-    steepest-coordinate choice go to the lowest node index.
+    the duality gap falls below it.  Ties in the steepest-coordinate choice
+    go to the lowest node index.
     """
 
     max_iterations: int = 5000
     line_search_tol: float = 1e-8
     gap_tol: float = 1e-9
-    min_decrease: float = 0.0
-    track_history: bool = False
 
 
 @dataclass
@@ -47,7 +42,6 @@ class FrankWolfeResult:
     gap: float
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)  # (iteration, objective, gap) rows
 
 
 def golden_section(fn, tol: float = 1e-8) -> float:
@@ -86,18 +80,12 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
     y = np.zeros(dim)
     y[start_index] = budget
     if budget == 0 or dim == 1:
-        f = float(fun(y))
-        return FrankWolfeResult(y, f, 0.0, 0, True,
-                                [(0, f, 0.0)] if cfg.track_history else [])
-    f = float(fun(y))
+        return FrankWolfeResult(y, float(fun(y)), 0.0, 0, True)
     g = np.asarray(grad(y), dtype=float)
-    history = []
     k = 0
     for k in range(1, cfg.max_iterations + 1):
         i = int(np.argmin(g))
         gap = float(g @ y - budget * g[i])
-        if cfg.track_history:
-            history.append((k, f, gap))
         if gap <= cfg.gap_tol:
             break
         direction = -y.copy()
@@ -111,15 +99,10 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
             break  # no progress along the steepest vertex
         y = (1.0 - alpha) * y
         y[i] += alpha * budget
-        f_new = float(fun(y))
-        decrease = f - f_new
-        f = f_new
         g = np.asarray(grad(y), dtype=float)
-        if cfg.min_decrease > 0 and decrease < cfg.min_decrease:
-            break
     # ``g`` is the gradient at the returned ``y`` on every exit path.
     gap = float(g @ y - budget * g[int(np.argmin(g))])
-    return FrankWolfeResult(y, f, gap, k, gap <= cfg.gap_tol, history)
+    return FrankWolfeResult(y, float(fun(y)), gap, k, gap <= cfg.gap_tol)
 
 
 def _steepest_start(grad, budget, dim):
@@ -251,15 +234,3 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
         converged=eps < tol,
     )
 
-
-def write_convergence_csv(result: FrankWolfeResult, path) -> Path:
-    """Dump the per-iteration (objective, gap) trace of a descent run."""
-    if not result.history:
-        raise ValueError("no history recorded; set DescentConfig.track_history")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "objective", "gap"])
-        for k, f, gap in result.history:
-            w.writerow([k, repr(float(f)), repr(float(gap))])
-    return path

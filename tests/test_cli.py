@@ -196,3 +196,23 @@ def test_unknown_network_key_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ba_mm" in err and "[network]" in err
     assert "Traceback" not in err
+
+
+def test_config_without_arms_is_usage_error(p5_file, tmp_path, capsys):
+    cfg = tmp_path / "no-arms.ini"
+    cfg.write_text(CONFIG.format(net=p5_file).split("[arm:")[0])
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "[arm:NAME]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_empty_network_section_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "empty-net.ini"
+    cfg.write_text(CONFIG.format(net="unused").replace("file = unused", ""))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "[network]" in err
+    assert "Traceback" not in err

@@ -1,10 +1,13 @@
-"""The reproducibility contract, checked against a one-trial reference loop.
+"""Properties checked against plain reference computations.
 
 ``run_experiment`` steps trials in blocks and may split them across worker
 processes; its per-trial means must equal, bit for bit, those of a loop that
-runs one :class:`UrnState` per trial on that trial's own stream.
+runs one :class:`UrnState` per trial on that trial's own stream.  The
+exposure integral must equal the enumeration of every closed
+neighbourhood's joint draws.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from polyanet.engine import UrnState
 from polyanet.graph import Network
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig
+from polyanet.oracle import ExposureObjective
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator
 
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=6, database=None)
@@ -24,10 +28,11 @@ DESCENT = 5  # in-loop optimizer iterations of family i
 
 
 @st.composite
-def networks(draw):
-    """Random spanning tree on 2..12 nodes plus a few extra edges; eight or
-    more nodes take numpy's pairwise summation off its sequential path."""
-    n = draw(st.integers(2, 12))
+def networks(draw, max_nodes=12):
+    """Random spanning tree on 2..max_nodes nodes plus a few extra edges;
+    eight or more nodes take numpy's pairwise summation off its sequential
+    path."""
+    n = draw(st.integers(2, max_nodes))
     edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
@@ -99,3 +104,59 @@ def test_batched_cure_allocation_spends_budget_per_row(family, net, rows, seed):
     assert np.allclose(alloc.sum(axis=1), budget, rtol=1e-12, atol=0)
     for k, row in enumerate(state.rows()):
         assert (alloc[k] == policy(1, row, 1.0)).all()
+
+
+def enumerated_exposure(state, x, y):
+    """Expected exposure and its gradients by enumerating the joint next
+    draws of every closed neighbourhood."""
+    net = state.net
+    s, c, d = state.exposure, state.super_red, state.super_black
+    value, grad_x, grad_y = 0.0, np.zeros(net.node_count), np.zeros(net.node_count)
+    for i, nbrs in enumerate(net.closed_neighbors):
+        red = np.array(list(itertools.product((False, True), repeat=nbrs.shape[0])))
+        weight = np.prod(np.where(red, s[nbrs], 1.0 - s[nbrs]), axis=1)
+        num = c[i] + (red * y[nbrs]).sum(axis=1)
+        blk = d[i] + (~red * x[nbrs]).sum(axis=1)
+        value += weight @ (num / (num + blk))
+        grad_x[nbrs] -= (weight * num / (num + blk) ** 2) @ ~red
+        grad_y[nbrs] += (weight * blk / (num + blk) ** 2) @ red
+    n = net.node_count
+    return value / n, grad_x / n, grad_y / n
+
+
+def assert_exposure_matches_enumeration(state, x, y):
+    value, grad_x, grad_y = ExposureObjective(state).value_and_gradients(x, y)
+    want, want_x, want_y = enumerated_exposure(state, x, y)
+    assert abs(value - want) <= 1e-12 * want
+    assert np.linalg.norm(grad_x - want_x) <= 1e-9 * np.linalg.norm(want_x)
+    assert np.linalg.norm(grad_y - want_y) <= 1e-9 * np.linalg.norm(want_y)
+
+
+def per_node(draw, n, values):
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+# Ends of the ranges are drawn on their own too, so that examples reach the
+# widest spreads of rates that the quadrature must cover.
+MASSES = st.one_of(st.sampled_from([0.1, 1e3]), st.floats(-1.0, 3.0).map(lambda e: 10.0**e))
+STEPS = st.one_of(st.sampled_from([0.0, 0.1, 100.0]),
+                  st.floats(-1.0, 2.0).map(lambda e: 10.0**e))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(net=networks(max_nodes=10), data=st.data())
+def test_exposure_integral_matches_enumeration(net, data):
+    n = net.node_count
+    state = UrnState(net, per_node(data.draw, n, MASSES), per_node(data.draw, n, MASSES))
+    x, y = per_node(data.draw, n, STEPS), per_node(data.draw, n, STEPS)
+    assert_exposure_matches_enumeration(state, x, y)
+
+
+def test_exposure_integral_matches_enumeration_with_one_colour_super_urns():
+    """Nodes 1 and 2 see no red and nodes 5 and 6 no black, with steps far
+    above the masses: the impossible colour must drop out at every t."""
+    net = Network.from_edges(6, [(i, i + 1) for i in range(5)])
+    state = UrnState(net, [0, 0, 0, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0, 0, 0])
+    x = np.array([50.0, 50.0, 0.0, 50.0, 0.1, 0.1])
+    y = np.array([0.1, 0.1, 0.0, 0.1, 50.0, 50.0])
+    assert_exposure_matches_enumeration(state, x, y)

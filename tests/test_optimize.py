@@ -12,7 +12,6 @@ from polyanet.optimize import (
     nash_solve,
     optimize_cure_step,
     optimize_init,
-    write_convergence_csv,
 )
 from polyanet.oracle import ExposureObjective, infection_rate_time1
 
@@ -43,14 +42,18 @@ def test_quadratic_converges_to_interior_target():
     def grad(x):
         return 2 * (x - target)
 
-    cfg = DescentConfig(max_iterations=1000, gap_tol=1e-7, track_history=True)
+    cfg = DescentConfig(max_iterations=1000, gap_tol=1e-7)
     res = frank_wolfe_simplex(fun, grad, 1.0, 3, cfg)
     assert res.converged
     assert res.gap < 1e-6
     assert np.abs(res.allocation - target).max() < 1e-3
-    # exact line search on a convex objective: monotone descent
-    values = [row[1] for row in res.history]
+    # exact line search on a convex objective: monotone descent, seen as the
+    # values of runs capped after k = 0..K iterations
+    values = [frank_wolfe_simplex(fun, grad, 1.0, 3,
+                                  DescentConfig(max_iterations=k, gap_tol=1e-7)).value
+              for k in range(res.iterations + 1)]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+    assert values[-1] == res.value
 
 
 def test_linear_objective_hits_vertex_in_one_step():
@@ -235,22 +238,6 @@ def test_nash_eight_node_converges():
     assert sol.exploitability < 1e-3
     assert sol.curing.sum() == pytest.approx(80.0, rel=1e-12)
     assert sol.infection.sum() == pytest.approx(80.0, rel=1e-12)
-
-
-def test_convergence_trace_csv(tmp_path):
-    target = np.array([0.6, 0.4])
-    cfg = DescentConfig(max_iterations=100, track_history=True)
-    res = frank_wolfe_simplex(lambda x: float(((x - target) ** 2).sum()),
-                              lambda x: 2 * (x - target), 1.0, 2, cfg)
-    path = write_convergence_csv(res, tmp_path / "trace.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,objective,gap"
-    assert len(lines) == len(res.history) + 1
-
-    res_plain = frank_wolfe_simplex(lambda x: float(((x - target) ** 2).sum()),
-                                    lambda x: 2 * (x - target), 1.0, 2)
-    with pytest.raises(ValueError, match="track_history"):
-        write_convergence_csv(res_plain, tmp_path / "none.csv")
 
 
 def test_capped_descent_reports_gap_of_returned_allocation():

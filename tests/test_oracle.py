@@ -1,10 +1,12 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polyanet.engine import UrnState
-from polyanet.graph import Network, orbit_average
+from polyanet.graph import Network, generate_barabasi_albert, orbit_average
 from polyanet.oracle import (
     EnumerationCapError,
     ExposureObjective,
@@ -17,10 +19,10 @@ from polyanet.oracle import (
 )
 
 from conftest import (
-    complete_network,
     cycle_network,
     path_network,
     random_connected_network,
+    star_network,
 )
 
 
@@ -326,13 +328,86 @@ def test_exposure_midpoint_convex_in_curing_concave_in_infection(rng):
         assert obj.value(x, (y1 + y2) / 2) >= (obj.value(x, y1) + obj.value(x, y2)) / 2 - 1e-12
 
 
-def test_exposure_monte_carlo_fallback_close_to_exact(rng):
-    net = complete_network(5)  # every closed neighbourhood has size 5
-    state = _state_after_random_steps(rng, net, steps=2)
-    x = rng.uniform(0, 2, 5)
-    y = rng.uniform(0, 2, 5)
-    exact, _, _ = expected_exposure(state, x, y)
-    approx, _, _ = expected_exposure(state, x, y, degree_cap=3, mc_samples=200_000, seed=11)
-    assert approx == pytest.approx(exact, abs=5e-3)
-    again, _, _ = expected_exposure(state, x, y, degree_cap=3, mc_samples=200_000, seed=11)
-    assert again == approx  # seeded sampling is reproducible
+def _star_exposure(state, x_hub, x_leaf, y_hub, y_leaf):
+    """Exposure of a star whose leaves share one state and one step pair: the
+    hub's term sums over its own draw and the binomial number of red leaves,
+    each leaf's term over the four outcomes of itself and the hub."""
+    leaves = state.node_count - 1
+    s, c, d = state.exposure, state.super_red, state.super_black
+    total = 0.0
+    for hub_red in (0, 1):
+        p_hub = s[0] if hub_red else 1.0 - s[0]
+        red = np.arange(leaves + 1)
+        p_red = np.array([math.comb(leaves, k) for k in red]) * s[1]**red * (1 - s[1])**(leaves - red)
+        num = c[0] + hub_red * y_hub + red * y_leaf
+        den = num + d[0] + (1 - hub_red) * x_hub + (leaves - red) * x_leaf
+        total += p_hub * float(p_red @ (num / den))
+        for leaf_red in (0, 1):
+            p_leaf = s[1] if leaf_red else 1.0 - s[1]
+            num = c[1] + hub_red * y_hub + leaf_red * y_leaf
+            den = num + d[1] + (1 - hub_red) * x_hub + (1 - leaf_red) * x_leaf
+            total += leaves * p_hub * p_leaf * num / den
+    return total / state.node_count
+
+
+def test_exposure_exact_on_star_hub_with_25_node_neighbourhood():
+    leaves = 24
+    net = star_network(leaves + 1)
+    red = np.full(leaves + 1, 3.0)
+    black = np.full(leaves + 1, 5.0)
+    red[0], black[0] = 7.0, 2.0
+    state = UrnState(net, red, black)
+    steps = {"x_hub": 4.0, "x_leaf": 1.5, "y_hub": 0.5, "y_leaf": 2.5}
+
+    def vectors(x_hub, x_leaf, y_hub, y_leaf):
+        x = np.full(leaves + 1, x_leaf)
+        y = np.full(leaves + 1, y_leaf)
+        x[0], y[0] = x_hub, y_hub
+        return x, y
+
+    value, gx, gy = ExposureObjective(state).value_and_gradients(*vectors(**steps))
+    assert value == pytest.approx(_star_exposure(state, **steps), rel=1e-12, abs=0)
+
+    def central(key):
+        h = 1e-4
+        up, dn = dict(steps), dict(steps)
+        up[key] += h
+        dn[key] -= h
+        return (_star_exposure(state, **up) - _star_exposure(state, **dn)) / (2 * h)
+
+    # A shared leaf step moves every leaf at once, so each leaf's partial is
+    # 1/24 of the shared one.
+    assert gx[0] == pytest.approx(central("x_hub"), rel=1e-7)
+    assert gy[0] == pytest.approx(central("y_hub"), rel=1e-7)
+    assert gx[1:] == pytest.approx(np.full(leaves, central("x_leaf") / leaves), rel=1e-7)
+    assert gy[1:] == pytest.approx(np.full(leaves, central("y_leaf") / leaves), rel=1e-7)
+
+
+def test_exposure_exact_at_colour_symmetric_state_with_large_hub():
+    net = generate_barabasi_albert(100, 1, 0)
+    assert max(len(nb) for nb in net.closed_neighbors) == 25
+    state = UrnState(net, np.full(100, 10.0), np.full(100, 10.0))
+    value, _, _ = expected_exposure(state, 3.0, 3.0)
+    assert value == pytest.approx(0.5, abs=1e-13)  # swapping colours maps value to 1 - value
+
+
+def test_exposure_steps_beyond_quadrature_range_raise(p3):
+    state = UrnState(p3, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    obj = ExposureObjective(state)
+    obj.value([0.0, 1e3, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="quadrature"):
+        obj.value([0.0, 1e4, 0.0], [1.0, 1.0, 1.0])
+
+
+def test_exposure_memory_on_facebook_sized_network():
+    net = generate_barabasi_albert(1363, 10, 0)
+    n = net.node_count
+    tracemalloc.start()
+    try:
+        state = UrnState(net, np.full(n, 10.0), np.full(n, 10.0))
+        value, _, _ = ExposureObjective(state).value_and_gradients(np.full(n, 3.0), np.full(n, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.5, abs=1e-13)
+    assert peak < 100e6
