@@ -207,15 +207,11 @@ def _cmd_game(args):
     state = UrnState(net, red, black)
     solution = optimize.nash_solve(net, state, args.budget_b, args.budget_r,
                                    rounds=args.rounds, tol=args.tol)
-    payload = {
-        "curing": [float(v) for v in solution.curing],
-        "infection": [float(v) for v in solution.infection],
-        "value": solution.value,
-        "exploitability": solution.exploitability,
-        "rounds": solution.rounds,
-        "converged": solution.converged,
-    }
-    _emit_json(payload, args.out)
+    _emit_json({**vars(solution), "curing": solution.curing.tolist(),
+                "infection": solution.infection.tolist()}, args.out)
+    if not solution.converged:
+        sys.stderr.write(f"warning: not converged (exploitability {solution.exploitability:.3g} "
+                         f">= tol {args.tol:g} after {solution.rounds} rounds)\n")
 
 
 _COMMANDS = {
@@ -239,7 +235,7 @@ def main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](args)
-    except (UsageError, harness.ConfigKeyError) as exc:
+    except (UsageError, harness.ConfigError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:

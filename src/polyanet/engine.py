@@ -80,11 +80,6 @@ class UrnState:
         return self.super_red / self.super_total
 
     @property
-    def susceptibility(self) -> np.ndarray:
-        """Red proportion of each individual urn."""
-        return self.red / self.total
-
-    @property
     def super_black(self) -> np.ndarray:
         return self.super_total - self.super_red
 
@@ -155,7 +150,7 @@ class UrnState:
 
     def metrics(self):
         """Network susceptibility and exposure: ``(U_mean, S_mean, U, S)``."""
-        u = self.susceptibility
+        u = self.red / self.total
         s = self.exposure
         return float(u.mean()), float(s.mean()), u, s
 

@@ -108,6 +108,9 @@ class ExperimentConfig:
 def resolve_initialization(net: Network, cfg: ExperimentConfig):
     """Materialize the (red, black) initial masses for an arm."""
     n = net.node_count
+    for key, values in (("red_values", cfg.red_values), ("black_values", cfg.black_values)):
+        if values is not None and len(values) != n:
+            raise ConfigError(f"{key} has {len(values)} values; the network has {n} nodes")
     if cfg.red_values is not None:
         red = np.asarray(cfg.red_values, dtype=float)
     else:
@@ -317,9 +320,11 @@ def parse_summary_csv(text: str) -> list[SummarySeries]:
 # Config files
 # ---------------------------------------------------------------------------
 
-_RUN_FLOATS = ("red_budget", "init_budget", "cure_budget", "red_step_budget",
-               "delta", "delta_r", "delta_b")
-_RUN_INTS = ("steps", "trials", "seed", "descent_iterations")
+_PARSERS = {**dict.fromkeys(("red_budget", "init_budget", "cure_budget", "red_step_budget",
+                             "delta", "delta_r", "delta_b"), float),
+            **dict.fromkeys(("steps", "trials", "seed", "descent_iterations"), int),
+            **dict.fromkeys(("red_values", "black_values"),
+                            lambda text: tuple(float(x) for x in text.split(",")))}
 
 
 def load_config_file(path):
@@ -336,7 +341,7 @@ def load_config_file(path):
     if not read:
         raise FileNotFoundError(path)
     if not parser.has_section("network"):
-        raise ValueError("config needs a [network] section")
+        raise ConfigError(f"{path} has no [network] section; add one with 'file' or 'ba_nodes'")
     network_spec = dict(parser.items("network"))
     run = _coerce(dict(parser.items("run")) if parser.has_section("run") else {})
     arms = []
@@ -349,19 +354,16 @@ def load_config_file(path):
 def _coerce(raw: dict) -> dict:
     out = {}
     for k, v in raw.items():
-        if k in _RUN_INTS:
-            out[k] = int(v)
-        elif k in _RUN_FLOATS:
-            out[k] = float(v)
-        elif k in ("red_values", "black_values"):
-            out[k] = tuple(float(x) for x in v.split(","))
-        else:
-            out[k] = v
+        try:
+            out[k] = _PARSERS.get(k, str)(v)
+        except ValueError:
+            raise ConfigError(f"cannot parse {k} = {v!r}") from None
     return out
 
 
-class ConfigKeyError(ValueError):
-    """An experiment config names a setting that does not exist."""
+class ConfigError(ValueError):
+    """An experiment config is missing a section or key, names a setting
+    that does not exist, or gives a value that does not fit."""
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"init", "cure"}
@@ -372,7 +374,7 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
     """Merge shared run settings, per-arm settings, and keyword overrides
     (highest precedence) into one :class:`ExperimentConfig` per arm.
 
-    Raises :class:`ConfigKeyError` for a key that is neither an
+    Raises :class:`ConfigError` for a key that is neither an
     :class:`ExperimentConfig` field nor the ``init``/``cure`` alias, and for
     a missing ``steps`` or ``trials``."""
     configs = []
@@ -382,10 +384,10 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
         merged.update({k: v for k, v in overrides.items() if v is not None})
         for key in merged:
             if key not in _CONFIG_KEYS:
-                raise ConfigKeyError(f"unknown key {key!r} in arm {name!r}")
+                raise ConfigError(f"unknown key {key!r} in arm {name!r}")
         for key in _REQUIRED_KEYS:
             if key not in merged:
-                raise ConfigKeyError(f"missing key {key!r} in arm {name!r}")
+                raise ConfigError(f"missing key {key!r} in arm {name!r}")
         merged.setdefault("label", name)
         strategy = merged.pop("init", None)
         if strategy is not None:

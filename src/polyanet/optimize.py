@@ -1,9 +1,10 @@
 """Simplex-constrained first-order optimization and the two-player game solver.
 
-The descent routine moves between the current iterate and the budget vertex
-of the steepest coordinate, with an exact 1-D line search; it reports the
-linearization (duality) gap, which upper-bounds the suboptimality for convex
-objectives.
+The descent is pairwise Frank–Wolfe: each step moves mass from the support
+coordinate with the largest partial derivative to the one with the smallest,
+by a line search on the directional derivative that needs only gradients.
+A drop step empties its source coordinate to an exact zero.  The reported
+duality gap upper-bounds the suboptimality for convex objectives.
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ from .graph import Network
 from .oracle import ExposureObjective, infection_rate_time1
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Line search stop rule: the first probe with phi' in [_SLOPE_SHRINK phi'(0), 0],
+# or else the last probe with phi' <= 0 after at most _MAX_PROBES gradients.
+_SLOPE_SHRINK = 0.1
+_MAX_PROBES = 50
 
 
 @dataclass
 class DescentConfig:
-    """Knobs for the simplex descent.
-
-    ``max_iterations`` caps the outer loop; ``line_search_tol`` is the
-    bracket width for the exact 1-D step-size search; ``gap_tol`` stops when
-    the duality gap falls below it.  Ties in the steepest-coordinate choice
-    go to the lowest node index.
-    """
+    """Knobs for the simplex descent: ``max_iterations`` caps the pairwise
+    steps, ``gap_tol`` stops once the duality gap falls below it.  Ties in
+    the choice of either coordinate go to the lowest node index."""
 
     max_iterations: int = 5000
-    line_search_tol: float = 1e-8
     gap_tol: float = 1e-9
 
 
@@ -65,16 +65,57 @@ def golden_section(fn, tol: float = 1e-8) -> float:
     return min(candidates, key=lambda p: p[0])[1]
 
 
+def _pairwise_step(grad, y, g, s, v):
+    """Step by ``gamma`` in [0, y_v] along ``e_s - e_v`` toward the root of
+    phi'(gamma) = g_s - g_v at ``y + gamma (e_s - e_v)``, nondecreasing for a
+    convex objective: the full (drop) step if phi'(y_v) <= 0, else Illinois
+    regula falsi, which halves the slope kept at one end when the other end
+    has moved twice running.  Only probes with phi' <= 0 are accepted, so the
+    objective does not rise.  Returns the new point and its gradient, or None.
+    """
+    def probe(step):
+        z = y.copy()
+        z[s] += step
+        z[v] = y[v] - step  # exactly 0.0 for the drop step
+        gz = np.asarray(grad(z), dtype=float)
+        return z, gz, gz[s] - gz[v]
+
+    slope0 = lo_slope = g[s] - g[v]
+    lo, hi, side, best = 0.0, y[v], 0, None
+    z, gz, hi_slope = probe(hi)
+    if hi_slope <= 0:
+        return z, gz
+    for _ in range(_MAX_PROBES - 1):
+        step = lo - lo_slope * (hi - lo) / (hi_slope - lo_slope)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)  # the secant step rounded onto an end
+            if not lo < step < hi:
+                break
+        z, gz, slope = probe(step)
+        if slope <= 0:
+            lo, lo_slope, best = step, slope, (z, gz)
+            if slope >= _SLOPE_SHRINK * slope0:
+                break
+            hi_slope /= 2 if side < 0 else 1
+            side = -1
+        else:
+            hi, hi_slope = step, slope
+            lo_slope /= 2 if side > 0 else 1
+            side = 1
+    return best
+
+
 def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
                         cfg: DescentConfig | None = None,
                         start_index: int = 0) -> FrankWolfeResult:
     """Minimize a differentiable convex function over the budget simplex
-    ``{v >= 0 : sum(v) = budget}``.
+    ``{v >= 0 : sum(v) = budget}`` from the vertex ``start_index``.
 
-    Starts at the vertex ``start_index``; each iteration moves toward the
-    budget vertex of the coordinate with the smallest partial derivative,
-    with the step chosen by exact line search on [0, 1].  Returns the final
-    iterate together with its duality gap ``grad . (iterate - vertex)``.
+    Each iteration is one pairwise step (:func:`_pairwise_step`) from the
+    support coordinate with the largest partial derivative to the one with
+    the smallest.  ``grad`` is called once per line-search probe and ``fun``
+    once, at the returned iterate, which comes with its duality gap
+    ``grad . (iterate - vertex)``.
     """
     cfg = cfg or DescentConfig()
     y = np.zeros(dim)
@@ -84,46 +125,33 @@ def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
     g = np.asarray(grad(y), dtype=float)
     k = 0
     for k in range(1, cfg.max_iterations + 1):
-        i = int(np.argmin(g))
-        gap = float(g @ y - budget * g[i])
+        s = int(np.argmin(g))
+        gap = float(g @ y - budget * g[s])
         if gap <= cfg.gap_tol:
             break
-        direction = -y.copy()
-        direction[i] += budget
-
-        def phi(alpha):
-            return float(fun(y + alpha * direction))
-
-        alpha = golden_section(phi, cfg.line_search_tol)
-        if alpha == 0.0:
-            break  # no progress along the steepest vertex
-        y = (1.0 - alpha) * y
-        y[i] += alpha * budget
-        g = np.asarray(grad(y), dtype=float)
+        v = int(np.argmax(np.where(y > 0, g, -np.inf)))
+        step = _pairwise_step(grad, y, g, s, v) if g[v] > g[s] else None
+        if step is None:
+            break  # no progress along the pairwise direction
+        y, g = step
     # ``g`` is the gradient at the returned ``y`` on every exit path.
     gap = float(g @ y - budget * g[int(np.argmin(g))])
     return FrankWolfeResult(y, float(fun(y)), gap, k, gap <= cfg.gap_tol)
 
 
-def _steepest_start(grad, budget, dim):
-    """Vertex choice for the descent: steepest coordinate at the uniform point."""
-    uniform = np.full(dim, budget / dim)
-    return int(np.argmin(np.asarray(grad(uniform), dtype=float)))
+def _descend(fun, grad, budget, dim, cfg):
+    """Simplex descent from the vertex of the steepest coordinate at the
+    uniform point."""
+    start = int(np.argmin(grad(np.full(dim, budget / dim))))
+    return frank_wolfe_simplex(fun, grad, budget, dim, cfg, start)
 
 
 def optimize_init(net: Network, red_init, budget: float,
                   cfg: DescentConfig | None = None) -> FrankWolfeResult:
     """Black-mass initialization minimizing the time-1 average infection rate."""
     red = np.asarray(red_init, dtype=float)
-
-    def fun(b):
-        return infection_rate_time1(net, red, b)[0]
-
-    def grad(b):
-        return infection_rate_time1(net, red, b)[1]
-
-    start = _steepest_start(grad, budget, net.node_count) if budget > 0 else 0
-    return frank_wolfe_simplex(fun, grad, budget, net.node_count, cfg, start)
+    return _descend(lambda b: infection_rate_time1(net, red, b)[0],
+                    lambda b: infection_rate_time1(net, red, b)[1], budget, net.node_count, cfg)
 
 
 def optimize_cure_step(net: Network, state: UrnState, budget: float,
@@ -133,15 +161,8 @@ def optimize_cure_step(net: Network, state: UrnState, budget: float,
     the infection-side reinforcement held fixed."""
     obj = objective if objective is not None else ExposureObjective(state)
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (net.node_count,))
-
-    def fun(x):
-        return obj.value(x, y)
-
-    def grad(x):
-        return obj.value_and_gradients(x, y)[1]
-
-    start = _steepest_start(grad, budget, net.node_count) if budget > 0 else 0
-    return frank_wolfe_simplex(fun, grad, budget, net.node_count, cfg, start)
+    return _descend(lambda x: obj.value(x, y), lambda x: obj.value_and_gradients(x, y)[1],
+                    budget, net.node_count, cfg)
 
 
 @dataclass
@@ -181,56 +202,36 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
         return optimize_cure_step(net, state, curing_budget, y, cfg, objective=obj)
 
     def best_infect(x):
-        def fun(y):
-            return -obj.value(x, y)
+        return _descend(lambda y: -obj.value(x, y), lambda y: -obj.value_and_gradients(x, y)[2],
+                        infection_budget, n, cfg)
 
-        def grad(y):
-            return -obj.value_and_gradients(x, y)[2]
-
-        start = _steepest_start(grad, infection_budget, n) if infection_budget > 0 else 0
-        return frank_wolfe_simplex(fun, grad, infection_budget, n, cfg, start)
+    def bound(rx, ry):
+        """Exploitability bound certified by best responses with their gaps."""
+        return max(0.0, float((-ry.value + ry.gap) - (rx.value - rx.gap)))
 
     best = None  # (eps, x, y)
-    x_cur = np.full(n, curing_budget / n)
     y_cur = np.full(n, infection_budget / n)
-    x_sum = np.zeros(n)
-    y_sum = np.zeros(n)
-    used = 0
+    x_sum, y_sum = np.zeros(n), np.zeros(n)
     for k in range(1, rounds + 1):
-        used = k
-        y_prev = y_cur
-        rx = best_cure(y_prev)
-        x_cur = rx.allocation
-        ry = best_infect(x_cur)
-        y_cur = ry.allocation
-        x_sum += x_cur
-        y_sum += y_cur
-        # Certify the alternating pair (x_cur, y_prev): rx bounds the curing
-        # player's best deviation against y_prev, ry the infection player's
-        # against x_cur.
-        upper = (-ry.value + ry.gap) - (rx.value - rx.gap)
-        eps = max(0.0, float(upper))
+        rx = best_cure(y_cur)
+        ry = best_infect(rx.allocation)
+        x_sum += rx.allocation
+        y_sum += ry.allocation
+        # Certify the alternating pair (rx.allocation, y_cur): rx bounds the
+        # curing player's best deviation against y_cur, ry the infection
+        # player's against rx.allocation.
+        eps = bound(rx, ry)
         if best is None or eps < best[0]:
-            best = (eps, x_cur.copy(), y_prev.copy())
+            best = (eps, rx.allocation.copy(), y_cur.copy())
         if eps < tol:
             break
+        y_cur = ry.allocation
         if k % averaged_check_every == 0:
-            x_avg = x_sum / k
-            y_avg = y_sum / k
-            ra = best_cure(y_avg)
-            rb = best_infect(x_avg)
-            eps_avg = max(0.0, float((-rb.value + rb.gap) - (ra.value - ra.gap)))
+            x_avg, y_avg = x_sum / k, y_sum / k
+            eps_avg = bound(best_cure(y_avg), best_infect(x_avg))
             if eps_avg < best[0]:
                 best = (eps_avg, x_avg, y_avg)
             if eps_avg < tol:
                 break
     eps, x_star, y_star = best
-    return GameSolution(
-        curing=x_star,
-        infection=y_star,
-        value=obj.value(x_star, y_star),
-        exploitability=eps,
-        rounds=used,
-        converged=eps < tol,
-    )
-
+    return GameSolution(x_star, y_star, obj.value(x_star, y_star), eps, k, eps < tol)

@@ -77,13 +77,17 @@ def joint_probability(net: Network, red_init, black_init, schedule, history) -> 
     return prob
 
 
-def _walk_histories(net, red_init, black_init, schedule, steps):
+def _walk_histories(net, red_init, black_init, schedule, steps, cap):
     """Depth-first enumeration of all draw histories of the given length.
 
     Yields ``(history_columns, probability, state)`` at the leaves, where
     ``state`` is the urn state after the full history.  Zero-probability
-    branches are pruned; they contribute no mass.
+    branches are pruned; they contribute no mass.  Raises
+    :class:`EnumerationCapError` beyond ``cap`` bits of history.
     """
+    bits = net.node_count * steps
+    if bits > cap:
+        raise EnumerationCapError(bits, cap)
     sched = as_schedule(schedule)
     root = UrnState(net, red_init, black_init)
 
@@ -105,10 +109,7 @@ def _walk_histories(net, red_init, black_init, schedule, steps):
 def iter_path_probabilities(net: Network, red_init, black_init, schedule, steps: int,
                             cap: int = DEFAULT_ENUMERATION_CAP):
     """Yield a :class:`PathProbability` for every positive-mass history."""
-    bits = net.node_count * steps
-    if bits > cap:
-        raise EnumerationCapError(bits, cap)
-    for cols, prob, _ in _walk_histories(net, red_init, black_init, schedule, steps):
+    for cols, prob, _ in _walk_histories(net, red_init, black_init, schedule, steps, cap):
         hist = np.stack(cols, axis=1) if cols else np.zeros((net.node_count, 0), dtype=np.int8)
         yield PathProbability(hist, prob)
 
@@ -129,11 +130,8 @@ def average_infection_rate(net: Network, red_init, black_init, schedule, n: int,
     """
     if n < 1:
         raise ValueError("time index n must be >= 1")
-    bits = net.node_count * (n - 1)
-    if bits > cap:
-        raise EnumerationCapError(bits, cap)
     acc = np.zeros(net.node_count)
-    for _, prob, state in _walk_histories(net, red_init, black_init, schedule, n - 1):
+    for _, prob, state in _walk_histories(net, red_init, black_init, schedule, n - 1, cap):
         acc += prob * state.exposure
     return float(acc.mean())
 

@@ -122,7 +122,11 @@ def init_allocation(spec: StrategySpec, net: Network, red_init, budget: float) -
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if spec.uses_optimizer:
-        return optimize_init(net, red_init, budget, spec.descent).allocation
+        res = optimize_init(net, red_init, budget, spec.descent)
+        if not res.converged:
+            log.warning("strategy %s: descent not converged, gap %.3g after %d iterations",
+                        spec, res.gap, res.iterations)
+        return res.allocation
     targets = target_set_for(net, spec.family).as_array()
     weights = _static_weights(net, targets, spec.family)
     return _spread(net, targets, weights, budget, spec.family)
@@ -145,10 +149,13 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
 
     if spec.uses_optimizer:
         def optimize_policy(t: int, state: UrnState, infection_step=0.0) -> np.ndarray:
-            allocations = [optimize_cure_step(net, row, budget, infection_step,
-                                              spec.descent).allocation
-                           for row in state.rows()]
-            return np.reshape(allocations, state.red.shape)
+            results = [optimize_cure_step(net, row, budget, infection_step, spec.descent)
+                       for row in state.rows()]
+            gaps = [r.gap for r in results if not r.converged]
+            if gaps:
+                log.warning("strategy %s at step %d: descent not converged on %d of %d rows, "
+                            "largest gap %.3g", spec, t, len(gaps), len(results), max(gaps))
+            return np.reshape([r.allocation for r in results], state.red.shape)
         return optimize_policy
 
     targets = target_set_for(net, spec.family).as_array()

@@ -88,6 +88,19 @@ def test_game_solves_tiny_instance(p3_file, capsys):
     assert payload["exploitability"] < 1e-4
 
 
+def test_game_warns_when_not_converged(p3_file, capfd):
+    args = ["game", "--net", str(p3_file), "--red", "uniform:10", "--black", "uniform:10",
+            "--budget-b", "6", "--budget-r", "6"]
+    assert main(args) == 0
+    assert capfd.readouterr().err == ""
+    assert main(args + ["--rounds", "1", "--tol", "1e-30"]) == 0
+    out, err = capfd.readouterr()
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert err.startswith(
+        f"warning: not converged (exploitability {payload['exploitability']:.3g}")
+
+
 CONFIG = """
 [network]
 file = {net}
@@ -215,4 +228,21 @@ def test_empty_network_section_is_usage_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "[network]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda text: re.sub(r"\[network\]\nfile = .*\n", "", text), ["[network]"]),
+    (lambda text: text.replace("[run]", "[run]\nred_values = 1,2"),
+     ["red_values", "2 values", "5 nodes"]),
+    (lambda text: text.replace("[run]", "[run]\nblack_values = 1,1,1"),
+     ["black_values", "3 values", "5 nodes"]),
+    (lambda text: text.replace("steps = 2", "steps = abc"), ["steps", "'abc'"]),
+], ids=["no-network", "red-length", "black-length", "unparsed"])
+def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(edit(CONFIG.format(net=p5_file)))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and all(w in err for w in words)
     assert "Traceback" not in err

@@ -4,7 +4,8 @@
 processes; its per-trial means must equal, bit for bit, those of a loop that
 runs one :class:`UrnState` per trial on that trial's own stream.  The
 exposure integral must equal the enumeration of every closed
-neighbourhood's joint draws.
+neighbourhood's joint draws.  The simplex descent must converge and certify
+its value by its duality gap, and every strategy must spend its budget.
 """
 
 import itertools
@@ -19,9 +20,9 @@ import polyanet.harness as harness
 from polyanet.engine import UrnState
 from polyanet.graph import Network
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
-from polyanet.optimize import DescentConfig
-from polyanet.oracle import ExposureObjective
-from polyanet.policies import FAMILIES, StrategySpec, cure_allocator
+from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
+from polyanet.oracle import ExposureObjective, infection_rate_time1
+from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=6, database=None)
 DESCENT = 5  # in-loop optimizer iterations of family i
@@ -160,3 +161,68 @@ def test_exposure_integral_matches_enumeration_with_one_colour_super_urns():
     x = np.array([50.0, 50.0, 0.0, 50.0, 0.1, 0.1])
     y = np.array([0.1, 0.1, 0.0, 0.1, 50.0, 50.0])
     assert_exposure_matches_enumeration(state, x, y)
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+DESCENT_CONTRACT = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+CAPPED_RUNS = 30  # capped runs k = 0..CAPPED_RUNS checked for monotone values
+
+
+def assert_descent_certified(res, fun, grad, budget, run_capped):
+    """``res`` converged to an allocation on the budget simplex, reports the
+    gap recomputed there, and by that gap bounds the objective from below at
+    every vertex and at 50 Dirichlet points; runs capped after k = 0..K
+    iterations have values that do not increase."""
+    alloc = res.allocation
+    n = alloc.shape[0]
+    assert res.converged
+    assert (alloc >= 0).all() and abs(alloc.sum() - budget) <= 1e-12 * budget
+    assert res.value == fun(alloc)
+    g = grad(alloc)
+    assert res.gap == float(g @ alloc - budget * g.min())
+    points = budget * np.vstack([np.eye(n), np.random.default_rng(n).dirichlet(np.ones(n), 50)])
+    assert all(res.value - res.gap <= fun(p) + 1e-12 for p in points)
+    values = [run_capped(DescentConfig(max_iterations=k)).value
+              for k in range(min(res.iterations, CAPPED_RUNS) + 1)]
+    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+@DESCENT_CONTRACT
+@given(net=networks(), data=st.data())
+def test_init_descent_is_certified(net, data):
+    red = per_node(data.draw, net.node_count, log_uniform(-1, 2))
+    budget = data.draw(log_uniform(-1, 3))
+    assert_descent_certified(optimize_init(net, red, budget),
+                             lambda b: infection_rate_time1(net, red, b)[0],
+                             lambda b: infection_rate_time1(net, red, b)[1], budget,
+                             lambda cfg: optimize_init(net, red, budget, cfg))
+
+
+@DESCENT_CONTRACT
+@given(net=networks(), data=st.data())
+def test_cure_descent_is_certified(net, data):
+    """Masses of at least 0.1 per urn keep every step here inside the range
+    of super-urn totals that the exposure quadrature covers."""
+    n = net.node_count
+    state = UrnState(net, per_node(data.draw, n, log_uniform(-1, 2)),
+                     per_node(data.draw, n, log_uniform(-1, 2)))
+    y = per_node(data.draw, n, log_uniform(-1, 1))
+    budget = data.draw(log_uniform(-1, 2))
+    obj = ExposureObjective(state)
+    assert_descent_certified(optimize_cure_step(net, state, budget, y, objective=obj),
+                             lambda x: obj.value(x, y),
+                             lambda x: obj.value_and_gradients(x, y)[1], budget,
+                             lambda cfg: optimize_cure_step(net, state, budget, y, cfg, obj))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@CONTRACT
+@given(net=networks(), data=st.data())
+def test_init_family_spends_its_budget(family, net, data):
+    red = per_node(data.draw, net.node_count, log_uniform(-1, 2))
+    budget = data.draw(log_uniform(-1, 3))
+    alloc = init_allocation(StrategySpec("init", family), net, red, budget)
+    assert (alloc >= 0).all() and abs(alloc.sum() - budget) <= 1e-12 * budget

@@ -247,3 +247,19 @@ def test_capped_descent_reports_gap_of_returned_allocation():
     assert res.iterations == 5 and not res.converged
     g = infection_rate_time1(net, red, res.allocation)[1]
     assert res.gap == float(g @ res.allocation - 300.0 * g.min())
+
+
+@pytest.mark.parametrize("m", [1, 10])
+def test_init_descent_converges_within_iteration_budget(m):
+    """Iteration counts are deterministic, so this guards the descent's speed
+    without a wall-time bound."""
+    net = generate_barabasi_albert(100, m, seed=7)
+    res = optimize_init(net, np.full(100, 10.0), 1000.0, DescentConfig(gap_tol=1e-9))
+    assert res.converged and res.iterations <= 1000
+
+
+def test_cure_descent_converges_within_iteration_budget():
+    net = generate_barabasi_albert(30, 1, seed=7)
+    state = UrnState(net, np.full(30, 10.0), np.full(30, 10.0))
+    res = optimize_cure_step(net, state, 90.0, 3.0, DescentConfig(gap_tol=1e-6))
+    assert res.converged and res.iterations <= 200

@@ -5,6 +5,7 @@ import pytest
 
 from polyanet.engine import UrnState
 from polyanet.graph import closeness_centrality, verify_automorphism
+from polyanet.optimize import DescentConfig, optimize_init
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 from conftest import cycle_network, path_network, random_connected_network, star_network
@@ -148,3 +149,18 @@ def test_side_mismatch_rejected():
         init_allocation(StrategySpec("cure", "ii"), net, np.ones(3), 1.0)
     with pytest.raises(ValueError, match="cure strategy"):
         cure_allocator(StrategySpec("init", "ii"), net, 1.0)
+
+
+def test_unconverged_descent_is_logged(caplog):
+    net = path_network(5)
+    capped = DescentConfig(max_iterations=1)
+    res = optimize_init(net, np.ones(5), 10.0, capped)
+    assert not res.converged
+    state = UrnState(net, np.ones((3, 5)), np.ones((3, 5)))
+    with caplog.at_level(logging.WARNING, logger="polyanet.policies"):
+        init_allocation(StrategySpec("init", "i", descent=capped), net, np.ones(5), 10.0)
+        cure_allocator(StrategySpec("cure", "i", descent=capped), net, 10.0)(2, state, 1.0)
+        init_allocation(StrategySpec("init", "i"), net, np.ones(5), 10.0)
+    init_msg, cure_msg = [r.getMessage() for r in caplog.records]
+    assert f"gap {res.gap:.3g} after 1 iterations" in init_msg
+    assert "3 of 3 rows" in cure_msg and "largest gap" in cure_msg
