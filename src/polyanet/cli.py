@@ -128,9 +128,17 @@ def _load_config_network(spec: dict) -> graph.Network:
     if "file" in spec:
         return graph.load_network(spec["file"])
     if "ba_nodes" in spec:
-        return graph.generate_barabasi_albert(
-            int(spec["ba_nodes"]), int(spec.get("ba_m", 1)), int(spec.get("ba_seed", 0)))
+        return graph.generate_barabasi_albert(_network_int(spec, "ba_nodes", None),
+                                              _network_int(spec, "ba_m", 1),
+                                              _network_int(spec, "ba_seed", 0))
     raise UsageError("[network] section needs 'file' or 'ba_nodes'")
+
+
+def _network_int(spec: dict, key: str, default):
+    try:
+        return int(spec.get(key, default))
+    except ValueError:
+        raise UsageError(f"cannot parse {key} = {spec[key]!r} in [network]") from None
 
 
 def _cmd_gen(args):

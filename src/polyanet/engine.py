@@ -9,7 +9,8 @@ of the drawn colour to its own urn.
 A state holds one trial, with per-node arrays of shape ``(N,)``, or a batch
 of independent trials advanced together, with arrays of shape
 ``(trials, N)``: one row per trial, so per-trial reductions run along a
-contiguous row.  :func:`iter_draws` is the one loop over time steps.
+contiguous row.  :func:`iter_draws` is the one loop over time steps; the
+harness draws its uniforms k steps per stream call, changing no result.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class UrnState:
     ----------
     net : Network
     red_init, black_init : array-like or scalar
-        Nonnegative initial ball masses, broadcast to ``(N,)`` for one trial
-        or ``(trials, N)`` for a batch, whichever the inputs' shapes give.
+        Finite, nonnegative initial ball masses, broadcast to ``(N,)`` for one
+        trial or ``(trials, N)`` for a batch, whichever the inputs' shapes give.
         Every node must have positive total mass and a nonempty super urn.
     """
 
@@ -56,8 +57,7 @@ class UrnState:
             raise ValueError(f"ball masses must have shape (N,) or (trials, N), got {shape}")
         red = np.broadcast_to(np.asarray(red_init, dtype=float), shape).copy()
         black = np.broadcast_to(np.asarray(black_init, dtype=float), shape).copy()
-        if (red < 0).any() or (black < 0).any():
-            raise ValueError("ball masses must be nonnegative")
+        _check_masses("ball masses", red, black)
         total = red + black
         if (total <= 0).any():
             raise ValueError(f"empty urn at nodes {_bad_nodes(total <= 0)}: "
@@ -118,15 +118,16 @@ class UrnState:
     def advance(self, draws, delta_red, delta_black) -> None:
         """Apply draws: add reinforcement of the drawn colour to each node's
         urn and update the super-urn sums incrementally, both colours of
-        every trial in one sparse product."""
-        z = np.asarray(draws)
-        shape = self.red.shape
-        dr = np.broadcast_to(np.asarray(delta_red, dtype=float), shape)
-        db = np.broadcast_to(np.asarray(delta_black, dtype=float), shape)
-        if (dr < 0).any() or (db < 0).any():
-            raise ValueError("reinforcement masses must be nonnegative")
-        drew_red = z == 1
-        adds = np.stack([np.where(drew_red, dr, 0.0), np.where(drew_red, dr, db)])
+        every trial in one sparse product.  Of ``drew * dr`` and ``~drew * db``
+        one is exactly 0.0, so their sum selects the drawn colour's mass."""
+        drew = np.asarray(draws) == 1
+        dr = np.asarray(delta_red, dtype=float)
+        db = np.asarray(delta_black, dtype=float)
+        _check_masses("reinforcement masses", dr, db)
+        adds = np.empty((2,) + self.red.shape)
+        np.multiply(drew, dr, out=adds[0])
+        np.multiply(~drew, db, out=adds[1])
+        adds[1] += adds[0]
         self.red += adds[0]
         self.total += adds[1]
         sums = _closed_sums(self.net, adds)
@@ -144,8 +145,9 @@ class UrnState:
         return z
 
     def rebuild(self) -> None:
-        """Recompute super-urn sums from the per-node masses."""
-        self.super_red, self.super_total = _closed_sums(self.net, np.stack([self.red, self.total]))
+        """Recompute super-urn sums from the per-node masses, as C-contiguous rows."""
+        sums = _closed_sums(self.net, np.stack([self.red, self.total]))
+        self.super_red, self.super_total = np.ascontiguousarray(sums)
         self._steps_since_rebuild = 0
 
     def metrics(self):
@@ -157,11 +159,16 @@ class UrnState:
 
 def _closed_sums(net: Network, masses: np.ndarray) -> np.ndarray:
     """Closed-neighbourhood sums of per-node masses along the last axis, as
-    one C-contiguous array of the same shape.  Each sum adds the neighbours
-    in node order, as a single-vector product does, so batching trials does
+    a (strided) array of the same shape.  Each sum adds the neighbours in
+    node order, as a single-vector product does, so batching trials does
     not change a bit."""
     flat = masses.reshape(-1, net.node_count)
-    return np.ascontiguousarray((net.closed_adjacency @ flat.T).T).reshape(masses.shape)
+    return (net.closed_adjacency @ flat.T).T.reshape(masses.shape)
+
+
+def _check_masses(what: str, *masses) -> None:
+    if not all(m.min() >= 0 and m.max() < np.inf for m in masses):  # NaN fails both
+        raise ValueError(f"{what} must be finite and nonnegative")
 
 
 def _bad_nodes(mask: np.ndarray) -> list:
@@ -172,7 +179,8 @@ def iter_draws(state: UrnState, schedule, uniforms, *, strict: bool = False):
     """Advance ``state`` once per element of ``uniforms`` and yield each
     step's draws.
 
-    ``uniforms`` yields one array per step, shaped like the state's masses.
+    ``uniforms`` yields one array per step, shaped like the state's masses,
+    and may refill it once the next is requested (as the harness's does).
     ``schedule`` is anything :func:`as_schedule` accepts; it is called with
     the time of the step being drawn (1 for the first) and the state before
     that step.

@@ -3,12 +3,13 @@
 Reproducibility contract: the uniforms that drive trial ``s`` of arm ``a``
 form an independent Philox stream keyed by ``(master_seed, arm_offset | s)``;
 at each time step the stream supplies one uniform per node, in node order.
-Streams therefore depend only on the key, never on scheduling: trials are
-stepped together in blocks (one row of a batched :class:`UrnState` per
-trial) and split across worker processes, and every split aggregates to
-identical results.  Under common
-random numbers every arm uses arm offset 0 and trials are pathwise paired
-across arms.
+Each stream hands out k steps of uniforms per call, which leaves the streams
+and results unchanged: a counter-based stream gives the same doubles however
+many it hands out at once.  Streams depend only on the key, never on
+scheduling: trials are stepped together in blocks (one row of a batched
+:class:`UrnState` per trial) and split across worker processes, and every
+split aggregates to identical results.  Under common random numbers every
+arm uses arm offset 0 and trials are pathwise paired across arms.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _ARM_SHIFT = 40  # trial index occupies the low 40 bits of the stream key
 # Cells (trials x nodes) stepped together: bounds a block's working set to a
 # few MB whatever the network size.
 _BLOCK_CELLS = 1 << 16
+_CHUNK_STEPS = 4  # steps drawn per stream call; buffers 4 * _BLOCK_CELLS doubles
 
 
 def trial_generator(master_seed: int, trial: int, arm: int = 0) -> np.random.Generator:
@@ -83,10 +85,10 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for name in ("red_budget", "init_budget", "cure_budget", "red_step_budget",
-                     "delta", "delta_r", "delta_b"):
+                     "delta", "delta_r", "delta_b", "red_values", "black_values"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if v is not None and not all(0 <= x < np.inf for x in np.atleast_1d(v)):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def validate(self) -> "ExperimentConfig":
         """Check the arm is runnable; templates for comparisons may leave the
@@ -159,10 +161,19 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
         block = trials[lo:lo + rows]
         streams = [trial_generator(cfg.seed, s, arm) for s in block]
         state = UrnState(net, np.broadcast_to(red, (len(block), n)), black)
-        uniforms = (np.stack([g.random(n) for g in streams]) for _ in range(cfg.steps))
-        for t, z in enumerate(iter_draws(state, schedule, uniforms)):
+        for t, z in enumerate(iter_draws(state, schedule, _uniforms(streams, n, cfg.steps))):
             means[lo:lo + len(block), t] = z.mean(axis=1)
     return means
+
+
+def _uniforms(streams, n: int, steps: int):
+    """Per-step ``(len(streams), n)`` views of a buffer that each stream
+    refills ``_CHUNK_STEPS`` steps at a time."""
+    buf = np.empty((len(streams), _CHUNK_STEPS, n))
+    for t0 in range(0, steps, _CHUNK_STEPS):
+        for g, row in zip(streams, buf):
+            g.random(out=row[:steps - t0])
+        yield from buf.swapaxes(0, 1)[:steps - t0]
 
 
 @dataclass
@@ -395,5 +406,8 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
         strategy = merged.pop("cure", None)
         if strategy is not None:
             merged["cure_strategy"] = strategy
-        configs.append(ExperimentConfig(**merged))
+        try:
+            configs.append(ExperimentConfig(**merged))
+        except ValueError as exc:
+            raise ConfigError(f"{exc} in arm {name!r}") from None
     return configs

@@ -238,7 +238,15 @@ def test_empty_network_section_is_usage_error(tmp_path, capsys):
     (lambda text: text.replace("[run]", "[run]\nblack_values = 1,1,1"),
      ["black_values", "3 values", "5 nodes"]),
     (lambda text: text.replace("steps = 2", "steps = abc"), ["steps", "'abc'"]),
-], ids=["no-network", "red-length", "black-length", "unparsed"])
+    (lambda text: text.replace("delta = 1.0", "delta = nan"), ["delta", "finite", "'uniform'"]),
+    (lambda text: text.replace("delta = 1.0", "delta = inf"), ["delta", "finite", "'uniform'"]),
+    (lambda text: text.replace("delta = 1.0", "delta = -1"), ["delta", "nonnegative"]),
+    (lambda text: text.replace("red_budget = 5", "red_budget = nan"), ["red_budget", "finite"]),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = abc", text), ["ba_nodes", "'abc'"]),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_seed = 1.5", text),
+     ["ba_seed", "'1.5'"]),
+], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
+        "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed"])
 def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(edit(CONFIG.format(net=p5_file)))

@@ -1,14 +1,18 @@
 """Properties checked against plain reference computations.
 
-``run_experiment`` steps trials in blocks and may split them across worker
-processes; its per-trial means must equal, bit for bit, those of a loop that
-runs one :class:`UrnState` per trial on that trial's own stream.  The
+``run_experiment`` steps trials in blocks, draws each trial's uniforms
+several steps at a time and may split trials across worker processes; its
+per-trial means must equal, bit for bit, those of a loop that runs one
+:class:`UrnState` per trial on that trial's own stream, one call per step.
+Networks survive a save and parse in either file format.  The
 exposure integral must equal the enumeration of every closed
 neighbourhood's joint draws.  The simplex descent must converge and certify
 its value by its duality gap, and every strategy must spend its budget.
 """
 
 import itertools
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 import polyanet.harness as harness
 from polyanet.engine import UrnState
-from polyanet.graph import Network
+from polyanet.graph import Network, parse_network, save_network
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
 from polyanet.oracle import ExposureObjective, infection_rate_time1
@@ -44,9 +48,11 @@ def reference_means(net, cfg, arm):
     """Per-trial node-mean draws, one trial at a time."""
     n = net.node_count
     red, black = resolve_initialization(net, cfg)
+    allocator = None
     if cfg.delta is not None:
         red_step = black_step = np.full(n, float(cfg.delta))
-        allocator = None
+    elif cfg.delta_b is not None:
+        red_step, black_step = np.full(n, float(cfg.delta_r)), np.full(n, float(cfg.delta_b))
     else:
         red_step = np.full(n, cfg.red_step_budget / n)
         spec = StrategySpec("cure", cfg.cure_strategy,
@@ -62,19 +68,25 @@ def reference_means(net, cfg, arm):
     return means
 
 
-@pytest.mark.parametrize("side", ["init", "cure"])
+@pytest.mark.parametrize("side", ["init", "init-split", "cure"])
 @pytest.mark.parametrize("family", FAMILIES)
 @CONTRACT
 @given(net=networks(), trials=st.integers(1, 9), block_rows=st.integers(1, 4),
-       steps=st.integers(1, 4), seed=st.integers(0, 2**32), arm=st.integers(0, 3),
+       steps=st.integers(1, 11), seed=st.integers(0, 2**32), arm=st.integers(0, 3),
        n_jobs=st.sampled_from([1, 2]))
 def test_run_experiment_matches_one_trial_reference(side, family, net, trials, block_rows,
                                                     steps, seed, arm, n_jobs):
+    """Up to 11 steps cross several draw chunks and end on a short one;
+    ``init-split`` reinforces the colours by different masses."""
     n = net.node_count
     if side == "init":
         cfg = ExperimentConfig(steps=steps, trials=trials, seed=seed, red_budget=2.0 * n,
                                init_strategy=family, init_budget=1.5 * n, delta=1.0,
                                descent_iterations=DESCENT)
+    elif side == "init-split":
+        cfg = ExperimentConfig(steps=steps, trials=trials, seed=seed, red_budget=2.0 * n,
+                               init_strategy=family, init_budget=1.5 * n, delta_r=0.5,
+                               delta_b=1.75, descent_iterations=DESCENT)
     else:
         cfg = ExperimentConfig(steps=steps, trials=trials, seed=seed, red_budget=2.0 * n,
                                black_values=(1.0,) * n, red_step_budget=1.0 * n,
@@ -85,6 +97,18 @@ def test_run_experiment_matches_one_trial_reference(side, family, net, trials, b
     with mock.patch.object(harness, "_BLOCK_CELLS", block_rows * n):
         got = run_experiment(net, cfg, n_jobs=n_jobs, arm=arm).per_trial_means
     assert (got == reference_means(net, cfg, arm)).all()
+
+
+@pytest.mark.parametrize("fmt", ["matrix", "edges"])
+@CONTRACT
+@given(net=networks())
+def test_saved_network_parses_back(fmt, net):
+    with tempfile.TemporaryDirectory() as tmp:
+        text = save_network(net, Path(tmp) / "net", fmt).read_text()
+    back, want = parse_network(text, fmt).closed_adjacency, net.closed_adjacency
+    assert back.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(back, name) == getattr(want, name)).all(), name
 
 
 @pytest.mark.parametrize("family", FAMILIES)

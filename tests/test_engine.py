@@ -31,6 +31,35 @@ def test_empty_super_urn_rejected():
         UrnState(net, [1, -1, 1], [1, 1, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_masses_rejected(p3, bad):
+    with pytest.raises(ValueError, match="finite"):
+        UrnState(p3, [1, bad, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        UrnState(p3, [1, 1, 1], bad)
+    state = UrnState(p3, [1, 1, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        state.advance([1, 0, 1], 1.0, [1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        state.advance([1, 0, 1], bad, 1.0)
+    assert state.time == 0 and (state.total == [2, 2, 2]).all()
+
+
+def test_arrays_stay_c_contiguous(rng, monkeypatch):
+    """Rows of every mass array stay contiguous, so that per-trial row sums
+    take numpy's pairwise path whatever the step or rebuild did."""
+    import polyanet.engine as engine_mod
+    monkeypatch.setattr(engine_mod, "REBUILD_INTERVAL", 3)
+    net = random_connected_network(rng, 9)
+    state = UrnState(net, rng.uniform(0.5, 2, 9), rng.uniform(0.5, 2, (4, 9)))
+    names = ("red", "total", "super_red", "super_total")
+    for step in range(7):
+        assert all(getattr(state, a).flags.c_contiguous for a in names), step
+        state.step(rng.random((4, 9)), rng.uniform(0, 2, 9), rng.uniform(0, 2, (4, 9)))
+    state.rebuild()
+    assert all(getattr(state, a).flags.c_contiguous for a in names)
+
+
 def test_single_node_hand_step():
     state = UrnState(single_node(), [1.0], [1.0])
     z = state.step([0.4], 1.0, 1.0)

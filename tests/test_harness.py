@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from polyanet.graph import Network
+from polyanet.graph import Network, generate_barabasi_albert
 from polyanet.harness import (
     ExperimentConfig,
     SummarySeries,
@@ -32,6 +33,13 @@ def test_config_validation():
         ExperimentConfig(steps=0, trials=1, red_budget=1.0, delta=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         ExperimentConfig(steps=1, trials=1, red_budget=-1.0, delta=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta=bad)
+        with pytest.raises(ValueError, match="cure_budget must be finite"):
+            ExperimentConfig(steps=1, trials=1, red_budget=1.0, cure_budget=bad)
+        with pytest.raises(ValueError, match="black_values must be finite"):
+            ExperimentConfig(steps=1, trials=1, red_budget=1.0, black_values=(1.0, bad))
     with pytest.raises(ValueError, match="red_values or red_budget"):
         ExperimentConfig(steps=1, trials=1, delta=1.0).validate()
     with pytest.raises(ValueError, match="red side"):
@@ -60,6 +68,31 @@ def test_parallel_equals_sequential(p3):
     assert (seq.per_trial_means == par.per_trial_means).all()
     assert (seq.mean_infection == par.mean_infection).all()
     assert (seq.stderr == par.stderr).all()
+
+
+# sha256 of per_trial_means.tobytes(): the Monte Carlo outputs are pinned
+# byte for byte, so that any change to how uniforms are drawn or urns are
+# advanced shows here even when it keeps the one-trial reference intact.
+PINNED_RUNS = [
+    ((100, 1, 7), dict(steps=23, trials=700, seed=11, red_budget=1000.0, init_strategy="ii",
+                       init_budget=1000.0, delta=5.0),
+     "f0e6041d7bac267e6f8e38cef1bdf4cb3b07b2ea0e116a915c655d8fbfb6ee6d"),
+    ((100, 1, 7), dict(steps=23, trials=50, seed=11, red_budget=1000.0, init_strategy="iv",
+                       init_budget=1000.0, red_step_budget=100.0, cure_strategy="vi",
+                       cure_budget=100.0),
+     "36d2cc96ac9e6e98054919546790971241743a1ed16a648e8651e68b08e4eaaf"),
+    ((200, 3, 5), dict(steps=23, trials=400, seed=11, red_budget=2000.0, init_strategy="vi",
+                       init_budget=1000.0, delta_r=2.0, delta_b=3.0),
+     "b9c2bbd2539ebea03987423034049605acde98f4d0422c4d7b27f8948cd5e5e3"),
+]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("ba, kw, digest", PINNED_RUNS, ids=["init-ii", "cure-vi", "dr-ne-db"])
+def test_per_trial_means_are_pinned(ba, kw, digest, n_jobs):
+    net = generate_barabasi_albert(*ba)
+    means = run_experiment(net, ExperimentConfig(**kw), n_jobs=n_jobs).per_trial_means
+    assert hashlib.sha256(means.tobytes()).hexdigest() == digest
 
 
 def test_rerun_is_byte_identical(p3, tmp_path):
