@@ -196,7 +196,7 @@ def _cmd_run(args):
     if args.arm is not None:
         arms = [a for a in arms if a[0] == args.arm]
         if not arms:
-            raise ValueError(f"no arm named {args.arm!r} in {args.config}")
+            raise UsageError(f"no arm named {args.arm!r} in {args.config}")
     net = _load_config_network(net_spec)
     configs = harness.build_configs(run, arms, seed=args.seed,
                                     trials=args.trials, steps=args.steps)
@@ -209,6 +209,13 @@ def _cmd_run(args):
 
 
 def _cmd_game(args):
+    for flag, budget in (("--budget-b", args.budget_b), ("--budget-r", args.budget_r)):
+        if not 0 <= budget < np.inf:
+            raise UsageError(f"{flag} must be finite and nonnegative, got {budget:g}")
+    if args.rounds < 1:
+        raise UsageError(f"--rounds must be at least 1, got {args.rounds}")
+    if not args.tol > 0:
+        raise UsageError(f"--tol must be positive, got {args.tol:g}")
     net = graph.load_network(args.net)
     red = _alloc(args.red, net.node_count)
     black = _alloc(args.black, net.node_count)

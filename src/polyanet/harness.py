@@ -26,7 +26,7 @@ import numpy as np
 from .engine import UrnState, iter_draws
 from .graph import Network
 from .optimize import DescentConfig
-from .policies import StrategySpec, cure_allocator, init_allocation
+from .policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 _MASK64 = (1 << 64) - 1
 _ARM_SHIFT = 40  # trial index occupies the low 40 bits of the stream key
@@ -89,6 +89,11 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and not all(0 <= x < np.inf for x in np.atleast_1d(v)):
                 raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("init_strategy", "cure_strategy"):
+            v = getattr(self, name)
+            if v is not None and v not in FAMILIES:
+                raise ValueError(f"{name}: unknown strategy family {v!r}; "
+                                 f"expected one of {FAMILIES}")
 
     def validate(self) -> "ExperimentConfig":
         """Check the arm is runnable; templates for comparisons may leave the
@@ -386,8 +391,9 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
     (highest precedence) into one :class:`ExperimentConfig` per arm.
 
     Raises :class:`ConfigError` for a key that is neither an
-    :class:`ExperimentConfig` field nor the ``init``/``cure`` alias, and for
-    a missing ``steps`` or ``trials``."""
+    :class:`ExperimentConfig` field nor the ``init``/``cure`` alias, for a
+    missing ``steps`` or ``trials``, and for an arm that does not pass
+    :meth:`ExperimentConfig.validate`."""
     configs = []
     for name, arm in arms:
         merged = dict(run)
@@ -407,7 +413,7 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
         if strategy is not None:
             merged["cure_strategy"] = strategy
         try:
-            configs.append(ExperimentConfig(**merged))
+            configs.append(ExperimentConfig(**merged).validate())
         except ValueError as exc:
             raise ConfigError(f"{exc} in arm {name!r}") from None
     return configs

@@ -1,10 +1,11 @@
 """Simplex-constrained first-order optimization and the two-player game solver.
 
-The descent is pairwise Frank–Wolfe: each step moves mass from the support
-coordinate with the largest partial derivative to the one with the smallest,
-by a line search on the directional derivative that needs only gradients.
-A drop step empties its source coordinate to an exact zero.  The reported
-duality gap upper-bounds the suboptimality for convex objectives.
+The descent is a monotone spectral projected gradient (Birgin, Martínez and
+Raydan, SIAM J. Optim. 10(4), 2000): each step is a Barzilai–Borwein step
+projected onto the budget simplex by sorting (Duchi et al., ICML 2008), which
+leaves exact zeros, then halved until the slope at the new point is no longer
+positive.  The reported Frank–Wolfe duality gap upper-bounds the
+suboptimality for convex objectives.
 """
 
 from __future__ import annotations
@@ -19,17 +20,14 @@ from .graph import Network
 from .oracle import ExposureObjective, infection_rate_time1
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Line search stop rule: the first probe with phi' in [_SLOPE_SHRINK phi'(0), 0],
-# or else the last probe with phi' <= 0 after at most _MAX_PROBES gradients.
-_SLOPE_SHRINK = 0.1
-_MAX_PROBES = 50
+_EPS = np.finfo(float).eps
 
 
 @dataclass
 class DescentConfig:
-    """Knobs for the simplex descent: ``max_iterations`` caps the pairwise
+    """Knobs for the simplex descent: ``max_iterations`` caps the projected
     steps, ``gap_tol`` stops once the duality gap falls below it.  Ties in
-    the choice of either coordinate go to the lowest node index."""
+    the choice of the start vertex go to the lowest node index."""
 
     max_iterations: int = 5000
     gap_tol: float = 1e-9
@@ -65,93 +63,75 @@ def golden_section(fn, tol: float = 1e-8) -> float:
     return min(candidates, key=lambda p: p[0])[1]
 
 
-def _pairwise_step(grad, y, g, s, v):
-    """Step by ``gamma`` in [0, y_v] along ``e_s - e_v`` toward the root of
-    phi'(gamma) = g_s - g_v at ``y + gamma (e_s - e_v)``, nondecreasing for a
-    convex objective: the full (drop) step if phi'(y_v) <= 0, else Illinois
-    regula falsi, which halves the slope kept at one end when the other end
-    has moved twice running.  Only probes with phi' <= 0 are accepted, so the
-    objective does not rise.  Returns the new point and its gradient, or None.
-    """
-    def probe(step):
-        z = y.copy()
-        z[s] += step
-        z[v] = y[v] - step  # exactly 0.0 for the drop step
-        gz = np.asarray(grad(z), dtype=float)
-        return z, gz, gz[s] - gz[v]
-
-    slope0 = lo_slope = g[s] - g[v]
-    lo, hi, side, best = 0.0, y[v], 0, None
-    z, gz, hi_slope = probe(hi)
-    if hi_slope <= 0:
-        return z, gz
-    for _ in range(_MAX_PROBES - 1):
-        step = lo - lo_slope * (hi - lo) / (hi_slope - lo_slope)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)  # the secant step rounded onto an end
-            if not lo < step < hi:
-                break
-        z, gz, slope = probe(step)
-        if slope <= 0:
-            lo, lo_slope, best = step, slope, (z, gz)
-            if slope >= _SLOPE_SHRINK * slope0:
-                break
-            hi_slope /= 2 if side < 0 else 1
-            side = -1
-        else:
-            hi, hi_slope = step, slope
-            lo_slope /= 2 if side > 0 else 1
-            side = 1
-    return best
+def _project(v, budget):
+    """Euclidean projection of ``v`` onto ``{w >= 0 : sum(w) = budget}``."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - budget
+    rho = np.flatnonzero(u * np.arange(1, u.shape[0] + 1) > excess)[-1]
+    return np.maximum(v - excess[rho] / (rho + 1), 0.0)
 
 
-def frank_wolfe_simplex(fun, grad, budget: float, dim: int,
+def frank_wolfe_simplex(value_and_grad, budget: float, dim: int,
                         cfg: DescentConfig | None = None,
                         start_index: int = 0) -> FrankWolfeResult:
     """Minimize a differentiable convex function over the budget simplex
     ``{v >= 0 : sum(v) = budget}`` from the vertex ``start_index``.
 
-    Each iteration is one pairwise step (:func:`_pairwise_step`) from the
-    support coordinate with the largest partial derivative to the one with
-    the smallest.  ``grad`` is called once per line-search probe and ``fun``
-    once, at the returned iterate, which comes with its duality gap
-    ``grad . (iterate - vertex)``.
+    ``value_and_grad(v)`` returns the value and the gradient at ``v``.  Each
+    iteration projects a Barzilai–Borwein step along the gradient shifted by
+    its minimum (the same projection, better conditioned), and halves it
+    until the slope at the new point is at most 0, so that for a convex
+    objective the value does not rise.  A value test would stall once the
+    decrease falls below what the value can resolve.  The returned iterate
+    comes with its Frank–Wolfe gap ``grad . (iterate - vertex)``.
     """
     cfg = cfg or DescentConfig()
     y = np.zeros(dim)
     y[start_index] = budget
+    f, g = value_and_grad(y)
     if budget == 0 or dim == 1:
-        return FrankWolfeResult(y, float(fun(y)), 0.0, 0, True)
-    g = np.asarray(grad(y), dtype=float)
-    k = 0
+        return FrankWolfeResult(y, float(f), 0.0, 0, True)
+    shifted = g - g.min()
+    step = k = 0
     for k in range(1, cfg.max_iterations + 1):
-        s = int(np.argmin(g))
-        gap = float(g @ y - budget * g[s])
-        if gap <= cfg.gap_tol:
+        if float(g @ y - budget * g.min()) <= cfg.gap_tol:
             break
-        v = int(np.argmax(np.where(y > 0, g, -np.inf)))
-        step = _pairwise_step(grad, y, g, s, v) if g[v] > g[s] else None
-        if step is None:
-            break  # no progress along the pairwise direction
-        y, g = step
+        if not 0 < step < math.inf:
+            # First step, or no curvature seen: long enough to reach the
+            # Frank–Wolfe vertex.
+            step = budget / shifted.min(initial=np.inf, where=shifted > 0)
+        d = _project(y - step * shifted, budget) - y
+        alpha = 1.0
+        while True:
+            z = y + alpha * d
+            fz, gz = value_and_grad(z)
+            shifted_z = gz - gz.min()
+            if shifted_z @ d <= 0 or alpha < _EPS:
+                break
+            alpha /= 2
+        if shifted_z @ d > 0:
+            break  # no progress along the projected direction
+        s = z - y
+        curvature = float(s @ (shifted_z - shifted))
+        step = float(s @ s) / curvature if curvature > 0 else 0.0
+        y, f, g, shifted = z, fz, gz, shifted_z
     # ``g`` is the gradient at the returned ``y`` on every exit path.
-    gap = float(g @ y - budget * g[int(np.argmin(g))])
-    return FrankWolfeResult(y, float(fun(y)), gap, k, gap <= cfg.gap_tol)
+    gap = float(g @ y - budget * g.min())
+    return FrankWolfeResult(y, float(f), gap, k, gap <= cfg.gap_tol)
 
 
-def _descend(fun, grad, budget, dim, cfg):
+def _descend(value_and_grad, budget, dim, cfg):
     """Simplex descent from the vertex of the steepest coordinate at the
     uniform point."""
-    start = int(np.argmin(grad(np.full(dim, budget / dim))))
-    return frank_wolfe_simplex(fun, grad, budget, dim, cfg, start)
+    start = int(np.argmin(value_and_grad(np.full(dim, budget / dim))[1]))
+    return frank_wolfe_simplex(value_and_grad, budget, dim, cfg, start)
 
 
 def optimize_init(net: Network, red_init, budget: float,
                   cfg: DescentConfig | None = None) -> FrankWolfeResult:
     """Black-mass initialization minimizing the time-1 average infection rate."""
     red = np.asarray(red_init, dtype=float)
-    return _descend(lambda b: infection_rate_time1(net, red, b)[0],
-                    lambda b: infection_rate_time1(net, red, b)[1], budget, net.node_count, cfg)
+    return _descend(lambda b: infection_rate_time1(net, red, b), budget, net.node_count, cfg)
 
 
 def optimize_cure_step(net: Network, state: UrnState, budget: float,
@@ -161,8 +141,7 @@ def optimize_cure_step(net: Network, state: UrnState, budget: float,
     the infection-side reinforcement held fixed."""
     obj = objective if objective is not None else ExposureObjective(state)
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (net.node_count,))
-    return _descend(lambda x: obj.value(x, y), lambda x: obj.value_and_gradients(x, y)[1],
-                    budget, net.node_count, cfg)
+    return _descend(lambda x: obj.value_and_gradients(x, y)[:2], budget, net.node_count, cfg)
 
 
 @dataclass
@@ -193,7 +172,14 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
     exploitability: each candidate pair is certified using the best-response
     values plus their duality gaps, and the best certified pair is returned.
     If the round cap is reached first, the result is flagged unconverged.
+    Raises ``ValueError`` for a negative or non-finite budget and for
+    ``rounds < 1``.
     """
+    for name, budget in (("curing_budget", curing_budget), ("infection_budget", infection_budget)):
+        if not 0 <= budget < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {budget}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     cfg = cfg or DescentConfig()
     obj = ExposureObjective(state)
     n = net.node_count
@@ -202,8 +188,10 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
         return optimize_cure_step(net, state, curing_budget, y, cfg, objective=obj)
 
     def best_infect(x):
-        return _descend(lambda y: -obj.value(x, y), lambda y: -obj.value_and_gradients(x, y)[2],
-                        infection_budget, n, cfg)
+        def negated(y):
+            value, _, grad_y = obj.value_and_gradients(x, y)
+            return -value, -grad_y
+        return _descend(negated, infection_budget, n, cfg)
 
     def bound(rx, ry):
         """Exploitability bound certified by best responses with their gaps."""

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import polyanet
 from polyanet.cli import main
 from polyanet.graph import load_network
 
@@ -24,6 +28,18 @@ def p3_file(tmp_path):
     path = tmp_path / "p3.adj"
     path.write_text(P3_MATRIX)
     return path
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """Every CLI start pays for what ``polyanet.cli`` imports; the optimizer
+    and the graph layer load these scipy modules only where they are used."""
+    heavy = ["scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph"]
+    src = str(Path(polyanet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"import sys, polyanet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_gen_writes_expected_edge_count(tmp_path, capsys):
@@ -134,7 +150,7 @@ def test_init_run_and_compare(p5_file, tmp_path, capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["series"][0]["strategy"] == "inner"
-    assert main(["init-run", "--config", str(cfg), "--arm", "missing"]) == 2
+    assert main(["init-run", "--config", str(cfg), "--arm", "missing"]) == 1
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 5
 
@@ -231,26 +247,51 @@ def test_empty_network_section_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("edit, words", [
-    (lambda text: re.sub(r"\[network\]\nfile = .*\n", "", text), ["[network]"]),
+def keep(text):
+    return text
+
+
+@pytest.mark.parametrize("edit, words, flags", [
+    (lambda text: re.sub(r"\[network\]\nfile = .*\n", "", text), ["[network]"], []),
     (lambda text: text.replace("[run]", "[run]\nred_values = 1,2"),
-     ["red_values", "2 values", "5 nodes"]),
+     ["red_values", "2 values", "5 nodes"], []),
     (lambda text: text.replace("[run]", "[run]\nblack_values = 1,1,1"),
-     ["black_values", "3 values", "5 nodes"]),
-    (lambda text: text.replace("steps = 2", "steps = abc"), ["steps", "'abc'"]),
-    (lambda text: text.replace("delta = 1.0", "delta = nan"), ["delta", "finite", "'uniform'"]),
-    (lambda text: text.replace("delta = 1.0", "delta = inf"), ["delta", "finite", "'uniform'"]),
-    (lambda text: text.replace("delta = 1.0", "delta = -1"), ["delta", "nonnegative"]),
-    (lambda text: text.replace("red_budget = 5", "red_budget = nan"), ["red_budget", "finite"]),
-    (lambda text: re.sub(r"file = .*", "ba_nodes = abc", text), ["ba_nodes", "'abc'"]),
+     ["black_values", "3 values", "5 nodes"], []),
+    (lambda text: text.replace("steps = 2", "steps = abc"), ["steps", "'abc'"], []),
+    (lambda text: text.replace("delta = 1.0", "delta = nan"),
+     ["delta", "finite", "'uniform'"], []),
+    (lambda text: text.replace("delta = 1.0", "delta = inf"),
+     ["delta", "finite", "'uniform'"], []),
+    (lambda text: text.replace("delta = 1.0", "delta = -1"), ["delta", "nonnegative"], []),
+    (lambda text: text.replace("red_budget = 5", "red_budget = nan"),
+     ["red_budget", "finite"], []),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = abc", text), ["ba_nodes", "'abc'"], []),
     (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_seed = 1.5", text),
-     ["ba_seed", "'1.5'"]),
+     ["ba_seed", "'1.5'"], []),
+    (lambda text: text.replace("red_budget = 5\n", ""),
+     ["red_values or red_budget", "'uniform'"], []),
+    (lambda text: text.replace("init = iii", "init = zz"),
+     ["unknown strategy family 'zz'", "'inner'"], []),
+    (keep, ["no arm named 'nope'"], ["--arm", "nope"]),
 ], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
-        "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed"])
-def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words):
+        "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed", "no-red",
+        "family-unknown", "arm-unknown"])
+def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words, flags):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(edit(CONFIG.format(net=p5_file)))
-    assert main(["compare", "--config", str(cfg)]) == 1
+    assert main(["init-run", "--config", str(cfg), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and all(w in err for w in words)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget-b", "-1"), ("--budget-b", "nan"), ("--budget-r", "inf"),
+    ("--rounds", "0"), ("--tol", "-1"), ("--tol", "nan"),
+])
+def test_game_bad_flag_is_usage_error(p3_file, capsys, flag, value):
+    args = {"--budget-b": "6", "--budget-r": "6", flag: value}
+    argv = ["game", "--net", str(p3_file), "--red", "uniform:10", "--black", "uniform:10"]
+    assert main(argv + [tok for item in args.items() for tok in item]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: {flag} ")

@@ -6,8 +6,10 @@ per-trial means must equal, bit for bit, those of a loop that runs one
 :class:`UrnState` per trial on that trial's own stream, one call per step.
 Networks survive a save and parse in either file format.  The
 exposure integral must equal the enumeration of every closed
-neighbourhood's joint draws.  The simplex descent must converge and certify
-its value by its duality gap, and every strategy must spend its budget.
+neighbourhood's joint draws.  Swapping the colours and mirroring the
+uniforms must flip every draw.  The simplex descent must converge and
+certify its value by its duality gap, and every strategy must spend its
+budget.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyanet.harness as harness
-from polyanet.engine import UrnState
+from polyanet.engine import UrnState, iter_draws
 from polyanet.graph import Network, parse_network, save_network
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
@@ -185,6 +187,23 @@ def test_exposure_integral_matches_enumeration_with_one_colour_super_urns():
     x = np.array([50.0, 50.0, 0.0, 50.0, 0.1, 0.1])
     y = np.array([0.1, 0.1, 0.0, 0.1, 50.0, 50.0])
     assert_exposure_matches_enumeration(state, x, y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(net=networks(), data=st.data(), rows=st.integers(1, 3), steps=st.integers(1, 12),
+       seed=st.integers(0, 2**32))
+def test_colour_swap_mirrors_every_draw(net, data, rows, steps, seed):
+    """Swapping the colours of the masses and the reinforcements and running
+    on ``1 - u`` with the strict rule flips every draw of every step."""
+    n = net.node_count
+    red, black = per_node(data.draw, n, MASSES), per_node(data.draw, n, MASSES)
+    dr, db = per_node(data.draw, n, STEPS), per_node(data.draw, n, STEPS)
+    u = np.random.default_rng(seed).random((steps, rows, n))
+    z = iter_draws(UrnState(net, np.broadcast_to(red, (rows, n)), black), (dr, db), u)
+    swapped = iter_draws(UrnState(net, np.broadcast_to(black, (rows, n)), red), (db, dr),
+                         1.0 - u, strict=True)
+    for t, (a, b) in enumerate(zip(z, swapped, strict=True)):
+        assert (b == 1 - a).all(), f"step {t + 1}"
 
 
 def log_uniform(lo, hi):

@@ -37,19 +37,16 @@ def test_quadratic_converges_to_interior_target():
     target = np.array([0.5, 0.3, 0.2])
 
     def fun(x):
-        return float(((x - target) ** 2).sum())
-
-    def grad(x):
-        return 2 * (x - target)
+        return float(((x - target) ** 2).sum()), 2 * (x - target)
 
     cfg = DescentConfig(max_iterations=1000, gap_tol=1e-7)
-    res = frank_wolfe_simplex(fun, grad, 1.0, 3, cfg)
+    res = frank_wolfe_simplex(fun, 1.0, 3, cfg)
     assert res.converged
     assert res.gap < 1e-6
     assert np.abs(res.allocation - target).max() < 1e-3
-    # exact line search on a convex objective: monotone descent, seen as the
-    # values of runs capped after k = 0..K iterations
-    values = [frank_wolfe_simplex(fun, grad, 1.0, 3,
+    # steps accepted by their slope on a convex objective: monotone descent,
+    # seen as the values of runs capped after k = 0..K iterations
+    values = [frank_wolfe_simplex(fun, 1.0, 3,
                                   DescentConfig(max_iterations=k, gap_tol=1e-7)).value
               for k in range(res.iterations + 1)]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -60,12 +57,9 @@ def test_linear_objective_hits_vertex_in_one_step():
     cost = np.array([3.0, 1.0, 2.0])
 
     def fun(x):
-        return float(cost @ x)
+        return float(cost @ x), cost
 
-    def grad(x):
-        return cost
-
-    res = frank_wolfe_simplex(fun, grad, 5.0, 3, DescentConfig(max_iterations=50))
+    res = frank_wolfe_simplex(fun, 5.0, 3, DescentConfig(max_iterations=50))
     assert res.allocation.tolist() == [0.0, 5.0, 0.0]
     assert res.converged
     assert res.iterations <= 2
@@ -178,6 +172,16 @@ def test_nash_single_node_trivial():
     assert sol.infection.tolist() == [2.0]
     assert sol.converged
     assert sol.exploitability < 1e-9
+
+
+@pytest.mark.parametrize("budgets, rounds, match", [
+    ((-1.0, 2.0), 200, "curing_budget"), ((3.0, np.nan), 200, "infection_budget"),
+    ((np.inf, 2.0), 200, "curing_budget"), ((3.0, 2.0), 0, "rounds"),
+])
+def test_nash_rejects_bad_budgets_and_rounds(budgets, rounds, match):
+    net = single_node_net()
+    with pytest.raises(ValueError, match=match):
+        nash_solve(net, UrnState(net, [1.0], [1.0]), *budgets, rounds=rounds)
 
 
 def two_dyads():

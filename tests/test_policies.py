@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polyanet.engine import UrnState
-from polyanet.graph import closeness_centrality, verify_automorphism
+from polyanet.graph import closeness_centrality, generate_barabasi_albert, verify_automorphism
+from polyanet.harness import ExperimentConfig, run_experiment
 from polyanet.optimize import DescentConfig, optimize_init
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
@@ -164,3 +165,16 @@ def test_unconverged_descent_is_logged(caplog):
     init_msg, cure_msg = [r.getMessage() for r in caplog.records]
     assert f"gap {res.gap:.3g} after 1 iterations" in init_msg
     assert "3 of 3 rows" in cure_msg and "largest gap" in cure_msg
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_in_loop_cure_descent_converges_within_its_cap(caplog, seed):
+    """The benchmark's in-loop cure i arm: BA(30,1) at 10 per node, budgets
+    300 and 90, 2 trials x 2 steps, 30 descent iterations a step."""
+    net = generate_barabasi_albert(30, 1, seed=7)
+    cfg = ExperimentConfig(steps=2, trials=2, seed=seed, red_budget=300.0,
+                           black_values=(10.0,) * 30, red_step_budget=90.0,
+                           cure_strategy="i", cure_budget=90.0, descent_iterations=30)
+    with caplog.at_level(logging.WARNING, logger="polyanet.policies"):
+        run_experiment(net, cfg)
+    assert not [r for r in caplog.records if "descent not converged" in r.getMessage()]
