@@ -11,13 +11,11 @@ from .graph import (
     generate_barabasi_albert,
     inner_nodes,
     load_network,
-    orbit_average,
     outer_nodes,
     parse_network,
     save_network,
     target_set_dense,
     target_set_layered,
-    verify_automorphism,
 )
 from .harness import (
     ComparisonResult,

@@ -7,7 +7,6 @@ all JSON emitted by the CLI use 1-indexed node ids.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,8 +148,9 @@ def _components(closed):
     Every round hooks each root onto the smallest root it shares an edge
     with, then pointer jumping flattens the trees; once every edge
     joins equal labels, each node's label is its component's smallest node.
-    (``scipy.sparse.csgraph.connected_components`` gives the same result, but
-    importing ``csgraph`` adds about 0.1 s to every CLI start.)
+    Like the distance search below, it keeps scipy's graph routines out of
+    the library: importing them loads scipy.sparse.linalg and scipy.linalg,
+    about 0.1 s on every CLI start.
     """
     edges = closed.tocoo()
     label = np.arange(closed.shape[0])
@@ -335,34 +335,72 @@ def inner_nodes(net: Network) -> np.ndarray:
     return np.flatnonzero(inner)
 
 
-def _distances(net: Network) -> np.ndarray:
-    """All-pairs hop counts as csgraph's float64 matrix; self-loops of the
-    closed adjacency change no shortest path."""
-    from scipy.sparse import csgraph  # imported here: see _components
+def _reach_levels(net: Network):
+    """Advance every node's breadth-first search together, one hop a level.
 
-    dist = csgraph.shortest_path(net.closed_adjacency, directed=False, unweighted=True)
-    if np.isinf(dist).any():
-        raise DisconnectedGraphError(net._components)
-    return dist
+    Yields, for d = 0, 1, ... up to the largest eccentricity, ``(reached,
+    counts)``: ``reached`` is an ``(N, ⌈N/64⌉)`` uint64 bitset whose row i
+    holds the nodes within d hops of node i, and ``counts`` (int64) the
+    number of them per row.  Level d+1 ORs, for each node, the rows of its
+    closed neighbourhood, a word at a time: the multi-source BFS of Then et
+    al., "The More the Merrier" (PVLDB 8(4), 2014).  Raises
+    :class:`DisconnectedGraphError` when no count grows while one is below N.
+    """
+    n = net.node_count
+    C = net.closed_adjacency
+    nodes = np.arange(n)
+    reached = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    reached[nodes, nodes // 64] = np.uint64(1) << (nodes % 64).astype(np.uint64)
+    counts = np.ones(n, dtype=np.int64)
+    while True:
+        yield reached, counts
+        if counts.min() == n:
+            return
+        # reduceat returns the element itself for an empty segment; no segment
+        # is empty here, because every row of C holds its own diagonal entry.
+        reached = np.bitwise_or.reduceat(reached[C.indices], C.indptr[:-1], axis=0)
+        grown = np.bitwise_count(reached).sum(axis=1, dtype=np.int64)
+        if (grown == counts).all():
+            raise DisconnectedGraphError(net._components)
+        counts = grown
 
 
 def all_pairs_distances(net: Network) -> np.ndarray:
     """All-pairs shortest path lengths (int64).
 
+    Every node's breadth-first search runs at once on bitsets (see
+    ``_reach_levels``); the distance from i to j is the number of levels d
+    at which j is not yet within d hops of i.  Cost: O(levels · nnz(C) ·
+    ⌈N/64⌉) word operations, where C is the closed adjacency.  Peak, besides
+    the (N, N) result: about ``nnz(C) · ⌈N/64⌉ · 8`` bytes of gathered rows
+    plus one unpacked (N, N) uint8 level.
+
     Raises :class:`DisconnectedGraphError` if any pair is unreachable.
     """
-    return _distances(net).astype(np.int64)
+    n = net.node_count
+    dist = np.zeros((n, n), dtype=np.int64)
+    for reached, _ in _reach_levels(net):
+        bits = reached.astype("<u8", copy=False).view(np.uint8)
+        dist += 1 - np.unpackbits(bits, axis=1, count=n, bitorder="little")
+    return dist
 
 
 def closeness_centrality(net: Network) -> np.ndarray:
     """Closeness score of each node: reciprocal of its total distance to all
     other nodes.  A single-node network gets score 0 by convention.
 
+    The total distance of node i is ``Σ_d (N − count_d[i])`` over the levels
+    of :func:`_reach_levels`, an exact integer, so no distance matrix is
+    built.  Cost: O(levels · nnz(C) · ⌈N/64⌉) word operations, where C is
+    the closed adjacency; peak about ``nnz(C) · ⌈N/64⌉ · 8`` bytes.
+
     Computed once per network and kept on it; the returned array is
-    read-only.
+    read-only.  Raises :class:`DisconnectedGraphError` on a disconnected
+    network.
     """
     if net._closeness is None:
-        scores = np.zeros(1) if net.node_count == 1 else 1.0 / _distances(net).sum(axis=1)
+        n = net.node_count
+        scores = np.zeros(1) if n == 1 else 1.0 / sum(n - c for _, c in _reach_levels(net))
         scores.flags.writeable = False
         net._closeness = scores
     return net._closeness
@@ -451,64 +489,3 @@ def target_set_dense(net: Network, prune: bool = False) -> TargetSet:
                 chosen.remove(i)
     source = "dense-pruned" if prune else "dense"
     return TargetSet(tuple(sorted(chosen)), source, insertion_order=tuple(chosen))
-
-
-# ---------------------------------------------------------------------------
-# Automorphisms
-# ---------------------------------------------------------------------------
-
-def permutation_cycles(sigma) -> list[tuple]:
-    """Cycles of a permutation given as an array of images (0-indexed)."""
-    sigma = np.asarray(sigma, dtype=int)
-    n = sigma.shape[0]
-    if sorted(sigma.tolist()) != list(range(n)):
-        raise ValueError("not a permutation: images must be 0..N-1 exactly once")
-    seen = np.zeros(n, dtype=bool)
-    cycles = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        cyc = []
-        u = s
-        while not seen[u]:
-            seen[u] = True
-            cyc.append(u)
-            u = int(sigma[u])
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def permutation_order(sigma) -> int:
-    """Order of the cyclic group generated by the permutation."""
-    return math.lcm(*(len(c) for c in permutation_cycles(sigma)))
-
-
-def verify_automorphism(net: Network, sigma):
-    """Check whether a permutation preserves the edge relation.
-
-    Returns ``(True, orbits)`` with the orbit partition under the cyclic
-    group generated by the permutation, or ``(False, None)``.
-    """
-    sigma = np.asarray(sigma, dtype=int)
-    cycles = permutation_cycles(sigma)  # validates
-    if sigma.shape[0] != net.node_count:
-        raise ValueError("permutation length does not match node count")
-    C = net.closed_adjacency
-    if (C[sigma][:, sigma] != C).nnz:
-        return False, None
-    orbits = sorted((tuple(sorted(c)) for c in cycles), key=lambda c: c[0])
-    return True, orbits
-
-
-def orbit_average(sigma, values) -> np.ndarray:
-    """Average a per-node vector over the orbits of a permutation.
-
-    The result assigns every node the mean of its orbit; iterating the
-    permutation ``m`` times (its order) and averaging gives the same thing.
-    """
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    for cyc in permutation_cycles(sigma):
-        idx = list(cyc)
-        out[idx] = values[idx].mean()
-    return out

@@ -15,7 +15,6 @@ arm uses arm offset 0 and trials are pathwise paired across arms.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -309,27 +308,6 @@ def emit(series, fmt: str = "csv", path=None):
     path = Path(path)
     path.write_text(text)
     return path
-
-
-def parse_summary_csv(text: str) -> list[SummarySeries]:
-    """Inverse of CSV :func:`emit` (values round-trip at full precision)."""
-    rows = list(csv.reader(text.splitlines()))
-    header, rows = rows[0], rows[1:]
-    if header != ["time", "strategy", "mean_infection", "stderr", "trials"]:
-        raise ValueError(f"unexpected header {header}")
-    by_label: dict[str, list] = {}
-    for time, label, mean, se, trials in rows:
-        by_label.setdefault(label, []).append((int(time), float(mean), float(se), int(trials)))
-    out = []
-    for label, pts in by_label.items():
-        out.append(SummarySeries(
-            label=label,
-            times=np.array([p[0] for p in pts]),
-            mean_infection=np.array([p[1] for p in pts]),
-            stderr=np.array([p[2] for p in pts]),
-            trials=pts[0][3],
-        ))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""Test-only helpers: permutation automorphisms of a network and a reader
+for the CSV that :func:`polyanet.harness.emit` writes."""
+
+import csv
+import math
+
+import numpy as np
+
+from polyanet.graph import Network
+from polyanet.harness import SummarySeries
+
+
+def permutation_cycles(sigma) -> list[tuple]:
+    """Cycles of a permutation given as an array of images (0-indexed)."""
+    sigma = np.asarray(sigma, dtype=int)
+    n = sigma.shape[0]
+    if sorted(sigma.tolist()) != list(range(n)):
+        raise ValueError("not a permutation: images must be 0..N-1 exactly once")
+    seen = np.zeros(n, dtype=bool)
+    cycles = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        cyc = []
+        u = s
+        while not seen[u]:
+            seen[u] = True
+            cyc.append(u)
+            u = int(sigma[u])
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def permutation_order(sigma) -> int:
+    """Order of the cyclic group generated by the permutation."""
+    return math.lcm(*(len(c) for c in permutation_cycles(sigma)))
+
+
+def verify_automorphism(net: Network, sigma):
+    """Check whether a permutation preserves the edge relation.
+
+    Returns ``(True, orbits)`` with the orbit partition under the cyclic
+    group generated by the permutation, or ``(False, None)``.
+    """
+    sigma = np.asarray(sigma, dtype=int)
+    cycles = permutation_cycles(sigma)  # validates
+    if sigma.shape[0] != net.node_count:
+        raise ValueError("permutation length does not match node count")
+    C = net.closed_adjacency
+    if (C[sigma][:, sigma] != C).nnz:
+        return False, None
+    orbits = sorted((tuple(sorted(c)) for c in cycles), key=lambda c: c[0])
+    return True, orbits
+
+
+def orbit_average(sigma, values) -> np.ndarray:
+    """Average a per-node vector over the orbits of a permutation.
+
+    The result assigns every node the mean of its orbit; iterating the
+    permutation ``m`` times (its order) and averaging gives the same thing.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    for cyc in permutation_cycles(sigma):
+        idx = list(cyc)
+        out[idx] = values[idx].mean()
+    return out
+
+
+def parse_summary_csv(text: str) -> list[SummarySeries]:
+    """Inverse of CSV :func:`emit` (values round-trip at full precision)."""
+    rows = list(csv.reader(text.splitlines()))
+    header, rows = rows[0], rows[1:]
+    if header != ["time", "strategy", "mean_infection", "stderr", "trials"]:
+        raise ValueError(f"unexpected header {header}")
+    by_label: dict[str, list] = {}
+    for time, label, mean, se, trials in rows:
+        by_label.setdefault(label, []).append((int(time), float(mean), float(se), int(trials)))
+    out = []
+    for label, pts in by_label.items():
+        out.append(SummarySeries(
+            label=label,
+            times=np.array([p[0] for p in pts]),
+            mean_infection=np.array([p[1] for p in pts]),
+            stderr=np.array([p[2] for p in pts]),
+            trials=pts[0][3],
+        ))
+    return out

@@ -13,7 +13,6 @@ from polyanet.engine import UrnState
 from polyanet.graph import (
     Network,
     generate_barabasi_albert,
-    orbit_average,
     outer_nodes,
     target_set_dense,
     target_set_layered,
@@ -36,6 +35,7 @@ from conftest import (
     star_network,
     trial_draws,
 )
+from support import orbit_average
 
 
 def single_node():

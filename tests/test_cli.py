@@ -30,13 +30,20 @@ def p3_file(tmp_path):
     return path
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+@pytest.mark.parametrize("code", [
+    pytest.param("import polyanet.cli", id="cli-import"),
+    pytest.param("import polyanet.cli; from polyanet.graph import *; "
+                 "net = generate_barabasi_albert(70, 2, 1); "
+                 "closeness_centrality(net); all_pairs_distances(net)", id="distances"),
+])
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(code):
     """Every CLI start pays for what ``polyanet.cli`` imports; the optimizer
-    and the graph layer load these scipy modules only where they are used."""
-    heavy = ["scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph"]
+    loads these scipy modules only where it uses them, and the graph layer
+    never does."""
+    heavy = ["scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"]
     src = str(Path(polyanet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = f"import sys, polyanet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code += f"; import sys; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

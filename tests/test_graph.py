@@ -13,15 +13,11 @@ from polyanet.graph import (
     generate_barabasi_albert,
     inner_nodes,
     load_network,
-    orbit_average,
     outer_nodes,
     parse_network,
-    permutation_cycles,
-    permutation_order,
     save_network,
     target_set_dense,
     target_set_layered,
-    verify_automorphism,
 )
 
 from conftest import (
@@ -31,6 +27,7 @@ from conftest import (
     random_connected_network,
     star_network,
 )
+from support import orbit_average, permutation_cycles, permutation_order, verify_automorphism
 
 
 # -- parsing ----------------------------------------------------------------
@@ -190,6 +187,7 @@ def test_structure_builds_no_dense_matrix():
         net = Network.from_edges(5000, edges)
         outer_nodes(net)
         target_set_layered(net)
+        closeness_centrality(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,7 +210,7 @@ def test_closeness_is_computed_once_and_read_only(monkeypatch):
     net = path_network(5)
     first = closeness_centrality(net)
     calls = []
-    monkeypatch.setattr(graph_mod, "_distances",
+    monkeypatch.setattr(graph_mod, "_reach_levels",
                         lambda n: calls.append(n) or pytest.fail("distances recomputed"))
     assert closeness_centrality(net) is first
     assert graph_mod.target_set_dense(net, prune=True).nodes == (1, 3)
@@ -228,18 +226,29 @@ def test_closeness_p5():
 
 
 def test_distances_match_floyd_warshall(rng):
+    nets = []
     for _ in range(20):
         n = int(rng.integers(2, 11))
-        net = random_connected_network(rng, n, extra_edge_prob=float(rng.random()) * 0.6)
+        nets.append(random_connected_network(rng, n, extra_edge_prob=float(rng.random()) * 0.6))
+    for n in (63, 64, 65, 127, 128, 129):  # either side of the 64-bit word boundaries
+        nets += [path_network(n), star_network(n, center=n // 2),
+                 random_connected_network(rng, n, extra_edge_prob=0.02)]
+    for net in nets:
         bfs = all_pairs_distances(net)
         fw = floyd_warshall(net.adjacency.astype(float), unweighted=True)
         assert (bfs == fw.astype(np.int64)).all()
+        assert (closeness_centrality(net) == 1 / fw.sum(axis=1)).all()
 
 
 def test_distances_reject_disconnected():
-    net = Network.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
-    with pytest.raises(DisconnectedGraphError):
-        all_pairs_distances(net)
+    small = Network.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
+    two_paths = Network.from_edges(80, [(i, i + 1) for i in range(79) if i != 39],
+                                   require_connected=False)
+    for net in (small, two_paths):
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs_distances(net)
+        with pytest.raises(DisconnectedGraphError):
+            closeness_centrality(net)
 
 
 # -- targeting ---------------------------------------------------------------

@@ -11,12 +11,13 @@ from polyanet.harness import (
     build_configs,
     emit,
     load_config_file,
-    parse_summary_csv,
     run_arms,
     run_experiment,
     trial_generator,
 )
 from polyanet.oracle import infection_rate_time1
+
+from support import parse_summary_csv
 
 
 

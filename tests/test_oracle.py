@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyanet.engine import UrnState
-from polyanet.graph import Network, generate_barabasi_albert, orbit_average
+from polyanet.graph import Network, generate_barabasi_albert
 from polyanet.oracle import (
     EnumerationCapError,
     ExposureObjective,
@@ -24,6 +24,7 @@ from conftest import (
     random_connected_network,
     star_network,
 )
+from support import orbit_average
 
 
 def single_node():

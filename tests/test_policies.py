@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from polyanet.engine import UrnState
-from polyanet.graph import closeness_centrality, generate_barabasi_albert, verify_automorphism
+from polyanet.graph import closeness_centrality, generate_barabasi_albert
 from polyanet.harness import ExperimentConfig, run_experiment
 from polyanet.optimize import DescentConfig, optimize_init
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 from conftest import cycle_network, path_network, random_connected_network, star_network
+from support import verify_automorphism
 
 NON_OPTIMIZER = [f for f in FAMILIES if f != "i"]
 
