@@ -21,6 +21,8 @@ from .oracle import ExposureObjective, infection_rate_time1
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
+# nash_solve also certifies the running averages every this many rounds.
+_AVERAGED_CHECK_EVERY = 5
 
 
 @dataclass
@@ -135,11 +137,10 @@ def optimize_init(net: Network, red_init, budget: float,
 
 
 def optimize_cure_step(net: Network, state: UrnState, budget: float,
-                       infection_step=0.0, cfg: DescentConfig | None = None,
-                       objective: ExposureObjective | None = None) -> FrankWolfeResult:
+                       infection_step=0.0, cfg: DescentConfig | None = None) -> FrankWolfeResult:
     """One-step curing allocation minimizing expected network exposure, with
     the infection-side reinforcement held fixed."""
-    obj = objective if objective is not None else ExposureObjective(state)
+    obj = ExposureObjective(state)
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (net.node_count,))
     return _descend(lambda x: obj.value_and_gradients(x, y)[:2], budget, net.node_count, cfg)
 
@@ -162,8 +163,7 @@ class GameSolution:
 
 def nash_solve(net: Network, state: UrnState, curing_budget: float,
                infection_budget: float, cfg: DescentConfig | None = None,
-               *, rounds: int = 200, tol: float = 1e-4,
-               averaged_check_every: int = 5) -> GameSolution:
+               *, rounds: int = 200, tol: float = 1e-4) -> GameSolution:
     """Solve the zero-sum game on expected exposure by alternating best
     responses with iterate averaging.
 
@@ -185,7 +185,7 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
     n = net.node_count
 
     def best_cure(y):
-        return optimize_cure_step(net, state, curing_budget, y, cfg, objective=obj)
+        return optimize_cure_step(net, state, curing_budget, y, cfg)
 
     def best_infect(x):
         def negated(y):
@@ -214,7 +214,7 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
         if eps < tol:
             break
         y_cur = ry.allocation
-        if k % averaged_check_every == 0:
+        if k % _AVERAGED_CHECK_EVERY == 0:
             x_avg, y_avg = x_sum / k, y_sum / k
             eps_avg = bound(best_cure(y_avg), best_infect(x_avg))
             if eps_avg < best[0]:

@@ -164,11 +164,12 @@ def infection_rate_time1(net: Network, red_init, black_init):
 # double-exponential map for integrands that decay exponentially.  With step
 # 1/4, from tau = -3.5 until the slowest rate has decayed by e^-41, the rule
 # integrates exp(-D t) and t exp(-D t) to within a few ulps for every rate D
-# from the smallest super-urn total up to _RATE_SPAN times the largest.
+# from the smallest super-urn total up to _RATE_SPAN times the largest rate
+# that the call reaches; without that headroom the top rates lose digits.
 _TAU_STEP = 0.25
 _TAU_MIN = -3.5
 _TAIL_DECAY = 41.0
-_RATE_SPAN = 1e3
+_RATE_SPAN = 10.0
 
 
 def _exposure_rule(low: float, high: float):
@@ -196,12 +197,12 @@ class ExposureObjective:
         a_j(t) = s_j exp(-t y_j) + (1 - s_j) exp(-t x_j),
         r_j(t) = s_j exp(-t y_j) / a_j(t).
 
-    It is summed in log space over Q quadrature points (about 60 for
-    super-urn totals within a decade), fixed when the objective is built,
-    to rounding error; the gradients differentiate under the integral.  One
-    evaluation costs O(Q nnz(C)), C the closed adjacency.  Steps that could
-    lift some ``D_i`` above ``_RATE_SPAN`` times the largest super-urn total
-    raise ``ValueError``.
+    It is summed in log space over Q quadrature points, to rounding error;
+    the gradients differentiate under the integral.  Each call sizes its
+    rule from the smallest super-urn total and the largest ``D_i`` that its
+    steps can reach, so Q grows with the log of their ratio (about 50 at
+    10 red and 10 black per node, N = 1363) and no step is out of range.
+    One evaluation costs O(Q nnz(C)), C the closed adjacency.
 
     The objective is convex in the curing (black) vector ``x`` and concave
     in the infection (red) vector ``y``.
@@ -212,16 +213,13 @@ class ExposureObjective:
         s, q = state.super_red / total, state.super_black / total
         self._closed = state.net.closed_adjacency
         self._total = total
+        self._urn_total = state.total
         self._red = state.super_red[:, None]
         self._s, self._q = s[:, None], q[:, None]
         # An outcome that cannot happen gets an infinite step, which drops
         # its term from a_j in _terms.
         self._never_red = np.where(s == 0, np.inf, 0.0)
         self._never_black = np.where(q == 0, np.inf, 0.0)
-        self._max_rate = _RATE_SPAN * total.max()
-        t, w = _exposure_rule(total.min(), total.max())
-        self._t = t
-        self._log_base = np.log(w) - np.multiply.outer(total, t)
         self._n = state.node_count
 
     def _terms(self, x, y):
@@ -229,11 +227,7 @@ class ExposureObjective:
         weighted ``exp(-t (c_i + d_i)) prod_j a_j(t)`` and
         ``c_i + sum_j y_j r_j(t)``."""
         rate = (self._total + self._closed @ np.maximum(x, y)).max()
-        if rate > self._max_rate:
-            raise ValueError(
-                f"step masses raise a super-urn total to {rate:.6g}, beyond the "
-                f"{self._max_rate:.6g} that this state's exposure quadrature covers")
-        t = self._t
+        t, w = _exposure_rule(self._total.min(), rate)
         x_step = x + self._never_black
         y_step = y + self._never_red
         # a_j = exp(-t m_j) (s_j exp(-t (y_j - m_j)) + (1 - s_j) exp(-t (x_j - m_j)))
@@ -242,28 +236,32 @@ class ExposureObjective:
         red = self._s * np.exp((y_step - m)[:, None] * -t)
         scaled = red + self._q * np.exp((x_step - m)[:, None] * -t)
         r = red / scaled
-        weight = np.exp(self._log_base + self._closed @ (np.log(scaled) - m[:, None] * t))
+        # sum over N[i] of the urn totals is c_i + d_i.
+        weight = w * np.exp(self._closed @ (np.log(scaled) - (m + self._urn_total)[:, None] * t))
         num = self._red + self._closed @ (r * y[:, None])
-        return r, weight, num
+        return t, r, weight, num
 
     def value(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        _, weight, num = self._terms(x, y)
+        _, _, weight, num = self._terms(x, y)
         return float(np.vdot(weight, num)) / self._n
 
     def value_and_gradients(self, x, y):
-        """Objective value with gradients in the curing and infection vectors."""
+        """Objective value with gradients in the curing and infection vectors.
+
+        ``grad_y = int exp(-t D) - int t N exp(-t D) = B / D^2`` cancels when
+        ``N >> B``: its relative error grows with the ratio of infection step
+        to super-urn total, to about 2e-9 at 10^3 and 2e-6 at 10^6."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        r, weight, num = self._terms(x, y)
+        t, r, weight, num = self._terms(x, y)
         closed = self._closed
         mass = closed @ weight
         y = y[:, None]
         # others_j = -sum over i in N[j] of weight_i (num_i - y_j r_j): the
         # super urns holding j, weighted by their red mass without j's step.
         others = y * r * mass - closed @ (weight * num)
-        t = self._t
         grad_x = (t * (1.0 - r) * others).sum(axis=1) / self._n
         grad_y = (r * mass - t * r * (y * mass - others)).sum(axis=1) / self._n
         return float(np.vdot(weight, num)) / self._n, grad_x, grad_y

@@ -111,6 +111,16 @@ def test_game_solves_tiny_instance(p3_file, capsys):
     assert payload["exploitability"] < 1e-4
 
 
+def test_game_solves_budgets_far_above_the_urn_masses(p3_file, capsys):
+    """A curing budget over 10^4 times every super-urn total is a valid game."""
+    assert main(["game", "--net", str(p3_file), "--red", "uniform:10",
+                 "--black", "uniform:10", "--budget-b", "1e6", "--budget-r", "6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True
+    assert sum(payload["curing"]) == pytest.approx(1e6, rel=1e-9)
+    assert sum(payload["infection"]) == pytest.approx(6.0, rel=1e-9)
+
+
 def test_game_warns_when_not_converged(p3_file, capfd):
     args = ["game", "--net", str(p3_file), "--red", "uniform:10", "--black", "uniform:10",
             "--budget-b", "6", "--budget-r", "6"]

@@ -145,7 +145,7 @@ def test_cure_step_beats_uniform_on_eight_node_net(rng):
     budget = 80.0
     y = np.full(8, 10.0)
     obj = ExposureObjective(state)
-    res = optimize_cure_step(net, state, budget, y, objective=obj)
+    res = optimize_cure_step(net, state, budget, y)
     assert res.value < obj.value(np.full(8, budget / 8), y) - 1e-6
     assert abs(res.allocation.sum() - budget) <= 1e-9 * budget
 
@@ -159,7 +159,7 @@ def test_cure_step_single_node_takes_whole_budget():
 def test_cure_step_zero_budget_is_noop():
     state = UrnState(single_node_net(), [1.0], [1.0])
     obj = ExposureObjective(state)
-    res = optimize_cure_step(single_node_net(), state, 0.0, 1.0, objective=obj)
+    res = optimize_cure_step(single_node_net(), state, 0.0, 1.0)
     assert res.allocation.tolist() == [0.0]
     assert res.value == pytest.approx(obj.value(np.zeros(1), np.ones(1)), abs=1e-15)
 

@@ -392,14 +392,6 @@ def test_exposure_exact_at_colour_symmetric_state_with_large_hub():
     assert value == pytest.approx(0.5, abs=1e-13)  # swapping colours maps value to 1 - value
 
 
-def test_exposure_steps_beyond_quadrature_range_raise(p3):
-    state = UrnState(p3, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    obj = ExposureObjective(state)
-    obj.value([0.0, 1e3, 0.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="quadrature"):
-        obj.value([0.0, 1e4, 0.0], [1.0, 1.0, 1.0])
-
-
 def test_exposure_memory_on_facebook_sized_network():
     net = generate_barabasi_albert(1363, 10, 0)
     n = net.node_count
