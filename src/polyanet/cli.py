@@ -30,16 +30,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _alloc(text: str, n: int) -> np.ndarray:
+def _alloc(flag: str, text: str, n: int) -> np.ndarray:
     """Parse a per-node mass vector: ``uniform:V`` (V per node), ``budget:V``
-    (V split evenly), or an explicit comma list."""
-    if text.startswith("uniform:"):
-        return np.full(n, float(text.split(":", 1)[1]))
-    if text.startswith("budget:"):
-        return np.full(n, float(text.split(":", 1)[1]) / n)
-    values = np.array([float(tok) for tok in text.split(",")], dtype=float)
+    (V split evenly), or an explicit comma list of N values.  Every value
+    must be finite and nonnegative."""
+    try:
+        if text.startswith("uniform:"):
+            values = np.full(n, float(text.split(":", 1)[1]))
+        elif text.startswith("budget:"):
+            values = np.full(n, float(text.split(":", 1)[1]) / n)
+        else:
+            values = np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise UsageError(f"{flag} cannot parse {text!r}; expected 'uniform:V', "
+                         "'budget:V' or a comma list") from None
     if values.shape[0] != n:
-        raise ValueError(f"expected {n} values, got {values.shape[0]}")
+        raise UsageError(f"{flag} needs {n} values, got {values.shape[0]}")
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise UsageError(f"{flag} values must be finite and nonnegative, got {text!r}")
     return values
 
 
@@ -167,8 +175,8 @@ def _cmd_inspect(args):
 
 def _cmd_exact(args):
     net = graph.load_network(args.net)
-    red = _alloc(args.red, net.node_count)
-    black = _alloc(args.black, net.node_count)
+    red = _alloc("--red", args.red, net.node_count)
+    black = _alloc("--black", args.black, net.node_count)
     schedule = (args.delta, args.delta)
     payload = {
         "n": args.n,
@@ -178,8 +186,8 @@ def _cmd_exact(args):
         if args.x is None or args.y is None:
             raise UsageError("--exposure needs --x and --y")
         state = UrnState(net, red, black)
-        x = _alloc(args.x, net.node_count)
-        y = _alloc(args.y, net.node_count)
+        x = _alloc("--x", args.x, net.node_count)
+        y = _alloc("--y", args.y, net.node_count)
         value, gx, gy = expected_exposure(state, x, y)
         payload["expected_exposure"] = value
         payload["exposure_grad_curing"] = [float(v) for v in gx]
@@ -217,8 +225,8 @@ def _cmd_game(args):
     if not args.tol > 0:
         raise UsageError(f"--tol must be positive, got {args.tol:g}")
     net = graph.load_network(args.net)
-    red = _alloc(args.red, net.node_count)
-    black = _alloc(args.black, net.node_count)
+    red = _alloc("--red", args.red, net.node_count)
+    black = _alloc("--black", args.black, net.node_count)
     state = UrnState(net, red, black)
     solution = optimize.nash_solve(net, state, args.budget_b, args.budget_r,
                                    rounds=args.rounds, tol=args.tol)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class GraphFormatError(ValueError):
@@ -35,13 +34,15 @@ class DisconnectedGraphError(ValueError):
 
 
 class Network:
-    """Undirected, irreflexive graph stored once, as its closed adjacency.
+    """Undirected, irreflexive graph stored once, as its closed adjacency
+    (adjacency plus identity) in compressed sparse row form.
 
     Parameters
     ----------
-    adjacency : (N, N) array-like or scipy sparse matrix
+    adjacency : (N, N) array-like, or a scipy sparse matrix or array
         Symmetric adjacency matrix with a zero diagonal; any nonzero entry
-        is an edge.
+        is an edge.  Sparse input is recognised by its ``tocoo`` method, so
+        reading it imports nothing.
     require_connected : bool, optional
         Reject disconnected graphs (default).  The contagion model assumes
         connectivity; pass ``False`` only for auxiliary constructions such
@@ -50,49 +51,37 @@ class Network:
     Attributes
     ----------
     node_count : int
+    indptr, indices : int32 ndarray
+        The one stored form: row i of the closed adjacency is the sorted,
+        duplicate-free ``indices[indptr[i]:indptr[i + 1]]``, node i and its
+        neighbours.
     closed_adjacency : scipy.sparse.csr_matrix
-        The one stored form: adjacency plus identity as float64 CSR, with
-        sorted, duplicate-free indices.  Multiplying a per-node vector by it
-        yields per-node sums over closed neighbourhoods (the super-urn
-        aggregation used throughout).
+        The same arrays with float64 ones as data, built on first use; it
+        holds the library's only scipy import.  Multiplying a per-node
+        vector by it yields per-node sums over closed neighbourhoods (the
+        super-urn aggregation used throughout).
 
-    Derived from ``closed_adjacency``: ``closed_neighbors`` (tuple of
-    sorted index views into its CSR, one per node: the node plus its
-    neighbours), ``degrees`` (int ndarray), ``edge_count``, :meth:`edges`,
-    and ``adjacency``, the dense (N, N) bool matrix, built afresh on every
-    read.
+    Derived from ``indptr``/``indices``: ``closed_neighbors`` (tuple of
+    sorted index views into ``indices``, one per node), ``degrees`` (int
+    ndarray), ``edge_count``, :meth:`edges`, and ``adjacency``, the dense
+    (N, N) bool matrix, built afresh on every read.
     """
 
     def __init__(self, adjacency, require_connected: bool = True):
-        if not sp.issparse(adjacency):
+        if hasattr(adjacency, "tocoo"):
+            coo = adjacency.tocoo(copy=True)
+            coo.sum_duplicates()
+            nonzero = coo.data != 0
+            shape, rows, cols = coo.shape, coo.row[nonzero], coo.col[nonzero]
+        else:
             adjacency = np.asarray(adjacency)
-        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-            raise GraphFormatError(
-                f"adjacency matrix must be square, got shape {adjacency.shape}")
-        n = adjacency.shape[0]
-        if n == 0:
+            shape = adjacency.shape
+            rows, cols = np.nonzero(adjacency) if adjacency.ndim == 2 else ((), ())
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise GraphFormatError(f"adjacency matrix must be square, got shape {shape}")
+        if shape[0] == 0:
             raise GraphFormatError("network must have at least one node")
-        A = sp.csr_matrix(adjacency, dtype=bool, copy=True)
-        A.eliminate_zeros()
-        diagonal = A.diagonal()
-        if diagonal.any():
-            bad = int(np.flatnonzero(diagonal)[0])
-            raise GraphFormatError(f"self-loop on node {bad + 1} (diagonal must be zero)")
-        asym = (A != A.T).tocoo()
-        if asym.nnz:
-            k = np.lexsort((asym.col, asym.row))[0]
-            i, j = asym.row[k], asym.col[k]
-            raise GraphFormatError(
-                f"adjacency matrix is not symmetric: entry ({i + 1},{j + 1}) != ({j + 1},{i + 1})"
-            )
-        closed = (A + sp.identity(n, dtype=bool, format="csr")).astype(np.float64)
-        closed.sort_indices()
-        self.node_count = n
-        self.closed_adjacency = closed
-        self._components = _components(closed)
-        self._closeness = None  # filled by closeness_centrality
-        if require_connected and len(self._components) > 1:
-            raise DisconnectedGraphError(self._components)
+        self._store(shape[0], rows, cols, require_connected)
 
     @classmethod
     def from_edges(cls, node_count: int, edges, require_connected: bool = True) -> "Network":
@@ -106,34 +95,70 @@ class Network:
                 raise GraphFormatError(f"self-loop on node {i[k] + 1}")
             raise GraphFormatError(
                 f"edge ({i[k] + 1},{j[k] + 1}) out of range for {node_count} nodes")
-        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-        A = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(node_count, node_count))
-        return cls(A, require_connected=require_connected)
+        net = cls.__new__(cls)
+        net._store(node_count, np.concatenate([i, j]), np.concatenate([j, i]), require_connected)
+        return net
+
+    def _store(self, n, rows, cols, require_connected):
+        """Check the nonzero pairs ``(rows, cols)`` of an adjacency matrix and
+        store its closed adjacency."""
+        loops = rows[rows == cols]
+        if loops.size:
+            raise GraphFormatError(
+                f"self-loop on node {loops.min() + 1} (diagonal must be zero)")
+        keys = np.unique(rows.astype(np.int64) * n + cols)
+        asym = np.setxor1d(keys, keys % n * n + keys // n, assume_unique=True)
+        if asym.size:
+            i, j = divmod(int(asym[0]), n)
+            raise GraphFormatError(
+                f"adjacency matrix is not symmetric: entry ({i + 1},{j + 1}) != ({j + 1},{i + 1})"
+            )
+        keys = np.union1d(keys, np.arange(n) * (n + 1))  # sorted row·N + col, diagonal added
+        self.node_count = n
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.indices = (keys % n).astype(np.int32)
+        self._components = _components(self)
+        self._closeness = None  # filled by closeness_centrality
+        self._nested = None  # filled by _nested_pairs
+        if require_connected and len(self._components) > 1:
+            raise DisconnectedGraphError(self._components)
+
+    @functools.cached_property
+    def closed_adjacency(self):
+        import scipy.sparse as sp
+
+        n = self.node_count
+        return sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
+                             shape=(n, n))
 
     @functools.cached_property
     def closed_neighbors(self) -> tuple:
-        C = self.closed_adjacency
-        return tuple(np.split(C.indices, C.indptr[1:-1]))
+        return tuple(np.split(self.indices, self.indptr[1:-1]))
 
     @functools.cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.closed_adjacency.indptr).astype(np.int64) - 1
+        return np.diff(self.indptr).astype(np.int64) - 1
 
     @property
     def adjacency(self) -> np.ndarray:
-        A = self.closed_adjacency.astype(bool).toarray()
+        A = np.zeros((self.node_count, self.node_count), dtype=bool)
+        A[self._entries()] = True
         np.fill_diagonal(A, False)
         return A
 
     @property
     def edge_count(self) -> int:
-        return (self.closed_adjacency.nnz - self.node_count) // 2
+        return (self.indices.size - self.node_count) // 2
 
     def edges(self):
         """Yield edges as 0-indexed pairs ``(i, j)`` with ``i < j``."""
-        C = self.closed_adjacency.tocoo()
-        upper = C.col > C.row
-        return list(zip(C.row[upper].tolist(), C.col[upper].tolist()))
+        rows, cols = self._entries()
+        upper = cols > rows
+        return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+
+    def _entries(self):
+        """Row and column of every stored entry, in row-major order."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr)), self.indices
 
     def is_connected(self) -> bool:
         return len(self._components) == 1
@@ -142,20 +167,17 @@ class Network:
         return f"Network(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def _components(closed):
+def _components(net):
     """Connected components as sorted node lists, ordered by smallest node.
 
     Every round hooks each root onto the smallest root it shares an edge
     with, then pointer jumping flattens the trees; once every edge
     joins equal labels, each node's label is its component's smallest node.
-    Like the distance search below, it keeps scipy's graph routines out of
-    the library: importing them loads scipy.sparse.linalg and scipy.linalg,
-    about 0.1 s on every CLI start.
     """
-    edges = closed.tocoo()
-    label = np.arange(closed.shape[0])
+    rows, cols = net._entries()
+    label = np.arange(net.node_count)
     while True:
-        a, b = label[edges.row], label[edges.col]
+        a, b = label[rows], label[cols]
         if (a == b).all():
             break
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
@@ -195,8 +217,11 @@ def parse_network(text: str, fmt: str | None = None, *,
         raise GraphFormatError(f"unknown network format {fmt!r}")
     if largest_component and not net.is_connected():
         keep = max(net._components, key=len)
-        closed = net.closed_adjacency[keep][:, keep]
-        net = Network(closed - sp.identity(len(keep), format="csr"))
+        label = np.full(net.node_count, -1)
+        label[keep] = np.arange(len(keep))
+        rows, cols = net._entries()
+        inside = (label[rows] >= 0) & (rows < cols)
+        net = Network.from_edges(len(keep), np.stack([label[rows[inside]], label[cols[inside]]], 1))
     elif require_connected and not net.is_connected():
         raise DisconnectedGraphError(net._components)
     return net
@@ -310,14 +335,31 @@ def generate_barabasi_albert(node_count: int, m: int, seed) -> Network:
 
 def _nested_pairs(net: Network):
     """All pairs ``(i, j)`` with ``N[i]`` a strict subset of ``N[j]``, as two
-    index arrays.  ``C Cᵀ`` counts common closed neighbours, so ``N[i] ⊆ N[j]``
-    exactly when that count equals ``|N[i]|``."""
-    C = net.closed_adjacency
-    overlap = (C @ C.T).tocoo()
-    sizes = np.diff(C.indptr)
-    i, j = overlap.row, overlap.col
-    nested = (overlap.data == sizes[i]) & (sizes[i] < sizes[j])
-    return i[nested], j[nested]
+    index arrays; computed once per network and kept on it.
+
+    ``N[i] ⊆ N[j]`` puts i in ``N[j]``, so only edges with ``|N[i]| < |N[j]|``
+    can qualify; for each, every k in ``N[i]`` is looked up among the sorted
+    keys ``row·N + col`` of the stored entries.
+    """
+    if net._nested is None:
+        n = net.node_count
+        rows, cols = net._entries()
+        sizes = np.diff(net.indptr)
+        edge = sizes[rows] < sizes[cols]
+        i, j = rows[edge], cols[edge]
+        # One slot per edge and k in N[i]: slot first[e] + m of edge e holds
+        # the m-th entry of row i.
+        length = sizes[i]
+        first = np.cumsum(length) - length
+        slot = np.arange(length.sum()) + np.repeat(net.indptr[i] - first, length)
+        wanted = np.repeat(j.astype(np.int64) * n, length) + net.indices[slot]
+        keys = rows * n + cols
+        # No wanted key exceeds the last stored one, (N-1)·N + N-1, so the
+        # search never runs off the end.
+        found = keys[np.searchsorted(keys, wanted)] == wanted
+        nested = np.logical_and.reduceat(found, first)
+        net._nested = (i[nested], j[nested])
+    return net._nested
 
 
 def outer_nodes(net: Network) -> np.ndarray:
@@ -347,7 +389,6 @@ def _reach_levels(net: Network):
     :class:`DisconnectedGraphError` when no count grows while one is below N.
     """
     n = net.node_count
-    C = net.closed_adjacency
     nodes = np.arange(n)
     reached = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     reached[nodes, nodes // 64] = np.uint64(1) << (nodes % 64).astype(np.uint64)
@@ -357,8 +398,8 @@ def _reach_levels(net: Network):
         if counts.min() == n:
             return
         # reduceat returns the element itself for an empty segment; no segment
-        # is empty here, because every row of C holds its own diagonal entry.
-        reached = np.bitwise_or.reduceat(reached[C.indices], C.indptr[:-1], axis=0)
+        # is empty here, because every row holds its own diagonal entry.
+        reached = np.bitwise_or.reduceat(reached[net.indices], net.indptr[:-1], axis=0)
         grown = np.bitwise_count(reached).sum(axis=1, dtype=np.int64)
         if (grown == counts).all():
             raise DisconnectedGraphError(net._components)
@@ -445,8 +486,8 @@ def target_set_layered(net: Network) -> TargetSet:
     Every node of the network ends up with a targeted node inside its closed
     neighbourhood.
     """
-    C = net.closed_adjacency
     a, b = _nested_pairs(net)
+    starts = net.indptr[:-1]
     test = np.ones(net.node_count, dtype=bool)
     targets = np.zeros(net.node_count, dtype=bool)
     absorbed = False
@@ -458,9 +499,9 @@ def target_set_layered(net: Network) -> TargetSet:
             targets |= test
             absorbed = True
             break
-        added = test & ~outer & (C @ outer > 0)
+        added = test & ~outer & np.logical_or.reduceat(outer[net.indices], starts)
         targets |= added
-        test &= ~(C @ added > 0)
+        test &= ~np.logical_or.reduceat(added[net.indices], starts)
     return TargetSet(tuple(np.flatnonzero(targets).tolist()), "layered",
                      absorbed_remainder=absorbed)
 
@@ -471,17 +512,14 @@ def target_set_dense(net: Network, prune: bool = False) -> TargetSet:
     chosen nodes cover the network.  With ``prune``, scan the chosen nodes in
     reverse insertion order and drop any whose removal preserves coverage.
     """
-    n = net.node_count
-    scores = closeness_centrality(net)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    counts = np.zeros(n, dtype=np.int64)  # chosen nodes covering each node
-    chosen: list[int] = []
-    for i in order:
-        if counts.all():
-            break
-        chosen.append(i)
-        counts[net.closed_neighbors[i]] += 1
+    order = np.argsort(-closeness_centrality(net), kind="stable")
+    # Node v is first covered when the earliest-ranked node of N[v] is added.
+    cover = np.minimum.reduceat(np.argsort(order)[net.indices], net.indptr[:-1]).max()
+    chosen = order[:cover + 1].tolist()
     if prune:
+        # chosen nodes covering each node
+        counts = np.bincount(np.concatenate([net.closed_neighbors[i] for i in chosen]),
+                             minlength=net.node_count)
         for i in reversed(list(chosen)):
             nbrs = net.closed_neighbors[i]
             if (counts[nbrs] > 1).all():

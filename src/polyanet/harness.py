@@ -207,6 +207,7 @@ def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
         means = _simulate(net, cfg, red, black, range(trials), arm)
     else:
         bounds = np.linspace(0, trials, n_jobs + 1).astype(int)
+        net.closed_adjacency  # imports scipy before the workers fork, so they inherit it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [pool.submit(_simulate, net, cfg, red, black, range(lo, hi), arm)
                        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]

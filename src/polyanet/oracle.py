@@ -268,9 +268,13 @@ class ExposureObjective:
 
 
 def expected_exposure(state: UrnState, curing_step, infection_step):
-    """One-shot expected exposure: ``(value, grad_curing, grad_infection)``."""
-    obj = ExposureObjective(state)
+    """One-shot expected exposure: ``(value, grad_curing, grad_infection)``.
+
+    Raises ``ValueError`` unless both steps are finite and nonnegative."""
     n = state.node_count
     x = np.broadcast_to(np.asarray(curing_step, dtype=float), (n,))
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (n,))
-    return obj.value_and_gradients(x, y)
+    for name, step in (("curing_step", x), ("infection_step", y)):
+        if not (np.isfinite(step) & (step >= 0)).all():
+            raise ValueError(f"{name} must be finite and nonnegative")
+    return ExposureObjective(state).value_and_gradients(x, y)

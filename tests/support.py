@@ -1,12 +1,14 @@
-"""Test-only helpers: permutation automorphisms of a network and a reader
-for the CSV that :func:`polyanet.harness.emit` writes."""
+"""Test-only helpers: permutation automorphisms of a network, the
+one-node-at-a-time greedy that :func:`polyanet.graph.target_set_dense`
+must match, and a reader for the CSV that :func:`polyanet.harness.emit`
+writes."""
 
 import csv
 import math
 
 import numpy as np
 
-from polyanet.graph import Network
+from polyanet.graph import Network, TargetSet, closeness_centrality
 from polyanet.harness import SummarySeries
 
 
@@ -65,6 +67,31 @@ def orbit_average(sigma, values) -> np.ndarray:
         idx = list(cyc)
         out[idx] = values[idx].mean()
     return out
+
+
+def greedy_dense_targets(net: Network, prune: bool = False) -> TargetSet:
+    """Reference centrality-greedy target set: add nodes in descending
+    closeness order (ties to the lower index), one at a time, until the
+    chosen closed neighbourhoods cover the network; with ``prune``, drop in
+    reverse insertion order every node whose removal keeps coverage."""
+    n = net.node_count
+    scores = closeness_centrality(net)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    counts = np.zeros(n, dtype=np.int64)  # chosen nodes covering each node
+    chosen: list[int] = []
+    for i in order:
+        if counts.all():
+            break
+        chosen.append(i)
+        counts[net.closed_neighbors[i]] += 1
+    if prune:
+        for i in reversed(list(chosen)):
+            nbrs = net.closed_neighbors[i]
+            if (counts[nbrs] > 1).all():
+                counts[nbrs] -= 1
+                chosen.remove(i)
+    source = "dense-pruned" if prune else "dense"
+    return TargetSet(tuple(sorted(chosen)), source, insertion_order=tuple(chosen))
 
 
 def parse_summary_csv(text: str) -> list[SummarySeries]:

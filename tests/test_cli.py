@@ -30,23 +30,35 @@ def p3_file(tmp_path):
     return path
 
 
+GEN_INSPECT = """from polyanet.cli import main
+out = {tmp!r} + "/ba.edges"
+assert main(["gen", "--nodes", "60", "--m", "2", "--seed", "1", "--out", out, "--format", "edges"]) == 0
+assert main(["inspect", "--net", out, "--out", out + ".json"]) == 0
+with open({tmp!r} + "/split.edges", "w") as fh:
+    fh.write("1 2\\n2 3\\n4 5\\n")
+assert main(["inspect", "--net", {tmp!r} + "/split.edges", "--largest-component",
+             "--out", out + ".json"]) == 0
+"""
+
+
 @pytest.mark.parametrize("code", [
     pytest.param("import polyanet.cli", id="cli-import"),
     pytest.param("import polyanet.cli; from polyanet.graph import *; "
                  "net = generate_barabasi_albert(70, 2, 1); "
                  "closeness_centrality(net); all_pairs_distances(net)", id="distances"),
+    pytest.param(GEN_INSPECT, id="gen-inspect"),
 ])
-def test_cli_import_leaves_heavy_scipy_modules_unloaded(code):
-    """Every CLI start pays for what ``polyanet.cli`` imports; the optimizer
-    loads these scipy modules only where it uses them, and the graph layer
-    never does."""
-    heavy = ["scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"]
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(code, tmp_path):
+    """Every CLI start pays for what ``polyanet.cli`` imports.  The graph
+    layer never imports scipy: only the first sparse product does, through
+    ``Network.closed_adjacency``, so ``gen`` and ``inspect`` run without it."""
     src = str(Path(polyanet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += f"; import sys; print([m for m in {heavy!r} if m in sys.modules])"
+    code = code.format(tmp=str(tmp_path)) + (
+        "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_gen_writes_expected_edge_count(tmp_path, capsys):
@@ -302,13 +314,31 @@ def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words, flags
     assert "Traceback" not in err
 
 
+BAD_MASSES = [("--red", "uniform:abc"), ("--black", "uniform:nan"), ("--red", "uniform:inf"),
+              ("--black", "budget:-3"), ("--red", "1,2"), ("--black", "1,x,1"),
+              ("--red", "1,-1,1")]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--budget-b", "-1"), ("--budget-b", "nan"), ("--budget-r", "inf"),
-    ("--rounds", "0"), ("--tol", "-1"), ("--tol", "nan"),
+    ("--rounds", "0"), ("--tol", "-1"), ("--tol", "nan"), *BAD_MASSES,
 ])
 def test_game_bad_flag_is_usage_error(p3_file, capsys, flag, value):
     args = {"--budget-b": "6", "--budget-r": "6", flag: value}
     argv = ["game", "--net", str(p3_file), "--red", "uniform:10", "--black", "uniform:10"]
+    assert main(argv + [tok for item in args.items() for tok in item]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: {flag} ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    *BAD_MASSES, ("--x", "uniform:nan"), ("--x", "uniform:inf"), ("--x", "uniform:-1"),
+    ("--y", "1,2,abc"), ("--y", "1"),
+])
+def test_exact_bad_flag_is_usage_error(p3_file, capsys, flag, value):
+    args = {"--red": "uniform:1", "--black": "uniform:1", "--x": "uniform:1",
+            "--y": "uniform:1", flag: value}
+    argv = ["exact", "--net", str(p3_file), "--exposure"]
     assert main(argv + [tok for item in args.items() for tok in item]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage error: {flag} ")

@@ -4,7 +4,8 @@
 several steps at a time and may split trials across worker processes; its
 per-trial means must equal, bit for bit, those of a loop that runs one
 :class:`UrnState` per trial on that trial's own stream, one call per step.
-Networks survive a save and parse in either file format.  The
+Networks survive a save and parse in either file format, and the graph
+layer's array code agrees with the definitions it implements.  The
 exposure integral must equal the enumeration of every closed
 neighbourhood's joint draws.  Swapping the colours and mirroring the
 uniforms must flip every draw.  The simplex descent must converge and
@@ -19,31 +20,37 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyanet.harness as harness
 from polyanet.engine import UrnState, iter_draws
-from polyanet.graph import Network, parse_network, save_network
+from polyanet.graph import Network, outer_nodes, parse_network, save_network, target_set_dense
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
 from polyanet.oracle import ExposureObjective, infection_rate_time1
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
+
+from support import greedy_dense_targets
 
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=6, database=None)
 DESCENT = 5  # in-loop optimizer iterations of family i
 
 
 @st.composite
-def networks(draw, max_nodes=12):
+def networks(draw, max_nodes=12, connected=True):
     """Random spanning tree on 2..max_nodes nodes plus a few extra edges;
     eight or more nodes take numpy's pairwise summation off its sequential
-    path."""
+    path.  With ``connected=False`` each tree edge may be dropped, so the
+    network may fall apart into components."""
     n = draw(st.integers(2, max_nodes))
     edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if not connected:
+        edges = {e for e in sorted(edges) if draw(st.booleans())}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    return Network.from_edges(n, sorted(edges))
+    return Network.from_edges(n, sorted(edges), require_connected=connected)
 
 
 def reference_means(net, cfg, arm):
@@ -111,6 +118,31 @@ def test_saved_network_parses_back(fmt, net):
     assert back.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert (getattr(back, name) == getattr(want, name)).all(), name
+
+
+@settings(CONTRACT, max_examples=80)
+@given(net=st.one_of(networks(max_nodes=20), networks(max_nodes=20, connected=False)))
+def test_graph_layer_matches_definitions(net):
+    """Dense, sparse and edge-list input store the arrays scipy's CSR of
+    A + I has; outer nodes are the strictly nested closed neighbourhoods; the
+    dense target sets equal the one-node-at-a-time greedy."""
+    n = net.node_count
+    reference = sp.csr_matrix(net.adjacency) + sp.identity(n, format="csr")
+    reference.sort_indices()
+    for form in (net.adjacency, sp.coo_array(net.adjacency)):
+        other = Network(form, require_connected=False)
+        assert other.indptr.dtype == other.indices.dtype == reference.indices.dtype
+        assert other.indptr.tolist() == reference.indptr.tolist()
+        assert other.indices.tolist() == reference.indices.tolist()
+    again = Network.from_edges(n, net.edges(), require_connected=False)
+    assert again.indptr.tolist() == net.indptr.tolist()
+    assert again.indices.tolist() == net.indices.tolist()
+    closed = [set(c.tolist()) for c in net.closed_neighbors]
+    nested = [i for i in range(n) if any(closed[i] < closed[j] for j in range(n))]
+    assert outer_nodes(net).tolist() == nested
+    if net.is_connected():
+        for prune in (False, True):
+            assert target_set_dense(net, prune) == greedy_dense_targets(net, prune)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, floyd_warshall
 
 from polyanet.graph import (
@@ -49,16 +50,38 @@ def test_parse_edge_list_triangle():
         assert net.closed_neighbors[i].tolist() == [0, 1, 2]
 
 
+def _message(make, *args):
+    with pytest.raises(GraphFormatError) as exc:
+        make(*args)
+    return str(exc.value)
+
+
 def test_parse_rejects_asymmetric():
-    with pytest.raises(GraphFormatError, match="not symmetric"):
-        parse_network("2\n0 1\n0 0\n")
+    """The first asymmetric entry in row-major order is reported, for dense
+    and sparse input alike; stored zeros are not entries."""
+    assert _message(parse_network, "2\n0 1\n0 0\n") == (
+        "adjacency matrix is not symmetric: entry (1,2) != (2,1)")
+    A = np.zeros((5, 5), dtype=int)
+    A[[1, 2, 4, 3, 4], [2, 1, 1, 0, 2]] = 1  # 0-indexed (4,1), (3,0), (4,2) lack mirrors
+    want = "adjacency matrix is not symmetric: entry (1,4) != (4,1)"
+    for form in (A, A.astype(bool), sp.csr_matrix(A), sp.coo_array(A), sp.lil_matrix(A)):
+        assert _message(Network, form) == want
+    stored_zero = sp.csr_matrix((np.array([1.0, 1.0, 0.0]), ([0, 1, 2], [1, 0, 0])), shape=(3, 3))
+    assert Network(stored_zero, require_connected=False).edges() == [(0, 1)]
 
 
 def test_parse_rejects_self_loop():
-    with pytest.raises(GraphFormatError, match="self-loop"):
-        parse_network("2\n1 1\n1 0\n")
-    with pytest.raises(GraphFormatError, match="self-loop"):
-        parse_network("2 2\n")
+    """The smallest looped node is reported for matrix input, the first
+    looped edge line for edge lists."""
+    assert _message(parse_network, "2\n1 1\n1 0\n") == (
+        "self-loop on node 1 (diagonal must be zero)")
+    A = np.zeros((4, 4), dtype=int)
+    A[[3, 1], [3, 1]] = 1
+    for form in (A, sp.csr_matrix(A), sp.coo_array(A)):
+        assert _message(Network, form) == "self-loop on node 2 (diagonal must be zero)"
+    assert _message(parse_network, "2 2\n") == "self-loop on node 2"
+    assert _message(parse_network, "1 2\n3 3\n2 2\n") == "self-loop on node 3"
+    assert _message(Network.from_edges, 4, [(0, 1), (3, 3), (1, 1)]) == "self-loop on node 4"
 
 
 def test_parse_rejects_bad_rows():

@@ -254,6 +254,15 @@ def test_exposure_single_node_hand_sum():
     assert value == pytest.approx(0.5 * (2 / 3) + 0.5 * (1 / 3), abs=1e-14)
 
 
+@pytest.mark.parametrize("x, y", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf),
+                                  ([1.0, -1e-9, 1.0], 1.0)],
+                         ids=["x-negative", "y-negative", "x-nan", "y-inf", "x-one-node"])
+def test_exposure_rejects_negative_or_non_finite_steps(p3, x, y):
+    state = UrnState(p3, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        expected_exposure(state, x, y)
+
+
 def test_exposure_gradient_signs(rng):
     for _ in range(20):
         net = random_connected_network(rng, int(rng.integers(2, 6)))
