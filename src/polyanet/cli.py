@@ -150,6 +150,10 @@ def _network_int(spec: dict, key: str, default):
 
 
 def _cmd_gen(args):
+    if args.m < 1:
+        raise UsageError(f"--m must be at least 1, got {args.m}")
+    if args.nodes <= args.m:
+        raise UsageError(f"--nodes must exceed --m = {args.m}, got {args.nodes}")
     net = graph.generate_barabasi_albert(args.nodes, args.m, args.seed)
     graph.save_network(net, args.out, args.format)
     print(f"wrote {net.node_count} nodes, {net.edge_count} edges to {args.out}")
@@ -174,6 +178,10 @@ def _cmd_inspect(args):
 
 
 def _cmd_exact(args):
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if not 0 <= args.delta < np.inf:
+        raise UsageError(f"--delta must be finite and nonnegative, got {args.delta:g}")
     net = graph.load_network(args.net)
     red = _alloc("--red", args.red, net.node_count)
     black = _alloc("--black", args.black, net.node_count)

@@ -102,18 +102,12 @@ class UrnState:
             return [self]
         return [self._select(lambda a, k=k: a[k]) for k in range(self.red.shape[0])]
 
-    def draw(self, uniforms, strict: bool = False) -> np.ndarray:
+    def draw(self, uniforms) -> np.ndarray:
         """Draw colours for every node from per-node uniforms; no state change.
 
         A node draws red when its uniform is <= its super-urn red proportion.
-        ``strict`` switches the comparison to ``<``, the mirrored convention
-        used when running a colour-swapped process on ``1 - uniforms`` so the
-        boundary case maps consistently.
         """
-        uniforms = np.asarray(uniforms, dtype=float)
-        s = self.exposure
-        z = (uniforms < s) if strict else (uniforms <= s)
-        return z.astype(np.int8)
+        return (np.asarray(uniforms, dtype=float) <= self.exposure).astype(np.int8)
 
     def advance(self, draws, delta_red, delta_black) -> None:
         """Apply draws: add reinforcement of the drawn colour to each node's
@@ -138,9 +132,9 @@ class UrnState:
         if self._steps_since_rebuild >= REBUILD_INTERVAL:
             self.rebuild()
 
-    def step(self, uniforms, delta_red, delta_black, strict: bool = False) -> np.ndarray:
+    def step(self, uniforms, delta_red, delta_black) -> np.ndarray:
         """Draw every node once and apply the reinforcements; returns draws."""
-        z = self.draw(uniforms, strict=strict)
+        z = self.draw(uniforms)
         self.advance(z, delta_red, delta_black)
         return z
 
@@ -175,7 +169,7 @@ def _bad_nodes(mask: np.ndarray) -> list:
     return (np.unique(np.nonzero(mask)[-1]) + 1).tolist()
 
 
-def iter_draws(state: UrnState, schedule, uniforms, *, strict: bool = False):
+def iter_draws(state: UrnState, schedule, uniforms):
     """Advance ``state`` once per element of ``uniforms`` and yield each
     step's draws.
 
@@ -188,4 +182,4 @@ def iter_draws(state: UrnState, schedule, uniforms, *, strict: bool = False):
     sched = as_schedule(schedule)
     for u in uniforms:
         dr, db = sched(state.time + 1, state)
-        yield state.step(u, dr, db, strict=strict)
+        yield state.step(u, dr, db)

@@ -54,7 +54,8 @@ class ExperimentConfig:
     Per-step reinforcement: ``delta`` fixes both colours to a constant per
     node.  Otherwise the red side is ``delta_r`` per node or a uniform split
     of ``red_step_budget``, and the black side is ``delta_b`` per node or
-    the Table-2 strategy ``cure_strategy`` spending ``cure_budget``.
+    the Table-2 strategy ``cure_strategy`` spending ``cure_budget``.  A
+    runnable arm sets exactly one source per side.
     """
 
     steps: int
@@ -103,11 +104,14 @@ class ExperimentConfig:
             raise ValueError("init_strategy needs init_budget")
         if self.cure_strategy is not None and self.cure_budget is None:
             raise ValueError("cure_strategy needs cure_budget")
-        if self.delta is None:
-            if self.delta_r is None and self.red_step_budget is None:
-                raise ValueError("need delta, delta_r, or red_step_budget for the red side")
-            if self.delta_b is None and self.cure_strategy is None:
-                raise ValueError("need delta, delta_b, or cure_strategy for the black side")
+        for side, keys in (("red", ("delta", "delta_r", "red_step_budget")),
+                           ("black", ("delta", "delta_b", "cure_strategy"))):
+            given = [key for key in keys if getattr(self, key) is not None]
+            if not given:
+                raise ValueError(f"need one of {', '.join(keys)} for the {side} side")
+            if len(given) > 1:
+                raise ValueError(f"{' and '.join(given)} both set the {side} side, and "
+                                 f"{given[0]} would override the rest; set only one")
         return self
 
 

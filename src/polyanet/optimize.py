@@ -28,8 +28,7 @@ _AVERAGED_CHECK_EVERY = 5
 @dataclass
 class DescentConfig:
     """Knobs for the simplex descent: ``max_iterations`` caps the projected
-    steps, ``gap_tol`` stops once the duality gap falls below it.  Ties in
-    the choice of the start vertex go to the lowest node index."""
+    steps, ``gap_tol`` stops once the duality gap falls below it."""
 
     max_iterations: int = 5000
     gap_tol: float = 1e-9
@@ -74,10 +73,9 @@ def _project(v, budget):
 
 
 def frank_wolfe_simplex(value_and_grad, budget: float, dim: int,
-                        cfg: DescentConfig | None = None,
-                        start_index: int = 0) -> FrankWolfeResult:
+                        cfg: DescentConfig | None = None) -> FrankWolfeResult:
     """Minimize a differentiable convex function over the budget simplex
-    ``{v >= 0 : sum(v) = budget}`` from the vertex ``start_index``.
+    ``{v >= 0 : sum(v) = budget}`` from its centre.
 
     ``value_and_grad(v)`` returns the value and the gradient at ``v``.  Each
     iteration projects a Barzilai–Borwein step along the gradient shifted by
@@ -85,19 +83,16 @@ def frank_wolfe_simplex(value_and_grad, budget: float, dim: int,
     until the slope at the new point is at most 0, so that for a convex
     objective the value does not rise.  A value test would stall once the
     decrease falls below what the value can resolve.  The returned iterate
-    comes with its Frank–Wolfe gap ``grad . (iterate - vertex)``.
+    comes with its Frank–Wolfe gap ``grad . (iterate - vertex)``, and
+    ``iterations`` counts the projected steps taken.
     """
     cfg = cfg or DescentConfig()
-    y = np.zeros(dim)
-    y[start_index] = budget
+    y = np.full(dim, budget / dim)
     f, g = value_and_grad(y)
-    if budget == 0 or dim == 1:
-        return FrankWolfeResult(y, float(f), 0.0, 0, True)
     shifted = g - g.min()
+    gap = float(g @ y - budget * g.min())
     step = k = 0
-    for k in range(1, cfg.max_iterations + 1):
-        if float(g @ y - budget * g.min()) <= cfg.gap_tol:
-            break
+    while k < cfg.max_iterations and gap > cfg.gap_tol:
         if not 0 < step < math.inf:
             # First step, or no curvature seen: long enough to reach the
             # Frank–Wolfe vertex.
@@ -117,23 +112,17 @@ def frank_wolfe_simplex(value_and_grad, budget: float, dim: int,
         curvature = float(s @ (shifted_z - shifted))
         step = float(s @ s) / curvature if curvature > 0 else 0.0
         y, f, g, shifted = z, fz, gz, shifted_z
-    # ``g`` is the gradient at the returned ``y`` on every exit path.
-    gap = float(g @ y - budget * g.min())
+        gap = float(g @ y - budget * g.min())
+        k += 1
     return FrankWolfeResult(y, float(f), gap, k, gap <= cfg.gap_tol)
-
-
-def _descend(value_and_grad, budget, dim, cfg):
-    """Simplex descent from the vertex of the steepest coordinate at the
-    uniform point."""
-    start = int(np.argmin(value_and_grad(np.full(dim, budget / dim))[1]))
-    return frank_wolfe_simplex(value_and_grad, budget, dim, cfg, start)
 
 
 def optimize_init(net: Network, red_init, budget: float,
                   cfg: DescentConfig | None = None) -> FrankWolfeResult:
     """Black-mass initialization minimizing the time-1 average infection rate."""
     red = np.asarray(red_init, dtype=float)
-    return _descend(lambda b: infection_rate_time1(net, red, b), budget, net.node_count, cfg)
+    return frank_wolfe_simplex(lambda b: infection_rate_time1(net, red, b), budget,
+                               net.node_count, cfg)
 
 
 def optimize_cure_step(net: Network, state: UrnState, budget: float,
@@ -142,7 +131,8 @@ def optimize_cure_step(net: Network, state: UrnState, budget: float,
     the infection-side reinforcement held fixed."""
     obj = ExposureObjective(state)
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (net.node_count,))
-    return _descend(lambda x: obj.value_and_gradients(x, y)[:2], budget, net.node_count, cfg)
+    return frank_wolfe_simplex(lambda x: obj.value_and_gradients(x, y)[:2], budget,
+                               net.node_count, cfg)
 
 
 @dataclass
@@ -191,7 +181,7 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
         def negated(y):
             value, _, grad_y = obj.value_and_gradients(x, y)
             return -value, -grad_y
-        return _descend(negated, infection_budget, n, cfg)
+        return frank_wolfe_simplex(negated, infection_budget, n, cfg)
 
     def bound(rx, ry):
         """Exploitability bound certified by best responses with their gaps."""

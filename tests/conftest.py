@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polyanet.engine import UrnState, iter_draws
+from polyanet.engine import UrnState, as_schedule, iter_draws
 from polyanet.graph import Network
 
 
@@ -37,11 +37,24 @@ def random_tree(rng, n):
     return random_connected_network(rng, n, extra_edge_prob=0.0)
 
 
-def trial_draws(net, red, black, schedule, uniforms, strict=False):
+def strict_draws(state, schedule, uniforms):
+    """:func:`iter_draws` with the strict rule: a node draws red when its
+    uniform is < (not <=) its super-urn red proportion.  With the colours
+    swapped and run on ``1 - u``, it flips every draw of the run on ``u``,
+    ties at the boundary included."""
+    sched = as_schedule(schedule)
+    for u in uniforms:
+        dr, db = sched(state.time + 1, state)
+        z = (u < state.exposure).astype(np.int8)
+        state.advance(z, dr, db)
+        yield z
+
+
+def trial_draws(net, red, black, schedule, uniforms, draws=iter_draws):
     """Draw matrix (node_count, steps) of one trial driven by the columns of
-    ``uniforms`` (node_count, steps)."""
+    ``uniforms`` (node_count, steps), stepped by ``draws``."""
     state = UrnState(net, red, black)
-    return np.stack(list(iter_draws(state, schedule, uniforms.T, strict=strict)), axis=1)
+    return np.stack(list(draws(state, schedule, uniforms.T)), axis=1)
 
 
 # The 8-node instance used for the game and curing-optimizer checks: a hub

@@ -33,6 +33,7 @@ from conftest import (
     random_connected_network,
     random_tree,
     star_network,
+    strict_draws,
     trial_draws,
 )
 from support import orbit_average
@@ -112,7 +113,7 @@ def test_criterion_03_exchangeability_and_colour_symmetry():
     for trial in range(50):
         uniforms = rng.random((12, 10))
         z = trial_draws(net, red, black, (dr, db), uniforms)
-        z_swapped = trial_draws(net, black, red, (db, dr), 1.0 - uniforms, strict=True)
+        z_swapped = trial_draws(net, black, red, (db, dr), 1.0 - uniforms, strict_draws)
         assert (z_swapped == 1 - z).all()
         assert int(z_swapped.sum()) == z.size - int(z.sum())  # rates are complementary
 

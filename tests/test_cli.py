@@ -302,9 +302,23 @@ def keep(text):
     (lambda text: text.replace("init = iii", "init = zz"),
      ["unknown strategy family 'zz'", "'inner'"], []),
     (keep, ["no arm named 'nope'"], ["--arm", "nope"]),
+    # a step source that another key would override, so it would never run
+    (lambda text: text.replace("init = ii\n", "init = ii\ncure = ii\ncure_budget = 5\n"),
+     ["delta and cure_strategy", "'uniform'"], []),
+    (lambda text: text.replace("[run]", "[run]\ndelta_r = 2"), ["delta and delta_r"], []),
+    (lambda text: text.replace("[run]", "[run]\ndelta_b = 2"), ["delta and delta_b"], []),
+    (lambda text: text.replace("[run]", "[run]\nred_step_budget = 2"),
+     ["delta and red_step_budget"], []),
+    (lambda text: text.replace("delta = 1.0", "delta_r = 1\nred_step_budget = 2\ndelta_b = 1"),
+     ["delta_r and red_step_budget"], []),
+    (lambda text: text.replace("delta = 1.0", "delta_r = 1\ndelta_b = 1\ncure = vi\n"
+                               "cure_budget = 5"),
+     ["delta_b and cure_strategy"], []),
 ], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
         "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed", "no-red",
-        "family-unknown", "arm-unknown"])
+        "family-unknown", "arm-unknown", "delta-with-cure", "delta-with-delta-r",
+        "delta-with-delta-b", "delta-with-red-step-budget", "delta-r-with-red-step-budget",
+        "delta-b-with-cure"])
 def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words, flags):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(edit(CONFIG.format(net=p5_file)))
@@ -333,7 +347,8 @@ def test_game_bad_flag_is_usage_error(p3_file, capsys, flag, value):
 
 @pytest.mark.parametrize("flag, value", [
     *BAD_MASSES, ("--x", "uniform:nan"), ("--x", "uniform:inf"), ("--x", "uniform:-1"),
-    ("--y", "1,2,abc"), ("--y", "1"),
+    ("--y", "1,2,abc"), ("--y", "1"), ("--delta", "-1"), ("--delta", "nan"),
+    ("--delta", "inf"), ("--n", "0"),
 ])
 def test_exact_bad_flag_is_usage_error(p3_file, capsys, flag, value):
     args = {"--red": "uniform:1", "--black": "uniform:1", "--x": "uniform:1",
@@ -342,3 +357,15 @@ def test_exact_bad_flag_is_usage_error(p3_file, capsys, flag, value):
     assert main(argv + [tok for item in args.items() for tok in item]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage error: {flag} ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--m", "0"), ("--m", "-1"), ("--nodes", "1"), ("--nodes", "0"),
+])
+def test_gen_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
+    args = {"--nodes": "10", "--m": "1", flag: value}
+    argv = ["gen", "--out", str(tmp_path / "net.adj")]
+    assert main(argv + [tok for item in args.items() for tok in item]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: {flag} ")
+    assert not (tmp_path / "net.adj").exists()

@@ -32,6 +32,7 @@ from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
 from polyanet.oracle import ExposureObjective, infection_rate_time1
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
+from conftest import strict_draws
 from support import greedy_dense_targets
 
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=6, database=None)
@@ -230,14 +231,15 @@ def test_exposure_integral_matches_enumeration_with_one_colour_super_urns():
        seed=st.integers(0, 2**32))
 def test_colour_swap_mirrors_every_draw(net, data, rows, steps, seed):
     """Swapping the colours of the masses and the reinforcements and running
-    on ``1 - u`` with the strict rule flips every draw of every step."""
+    on ``1 - u`` with the strict rule of ``strict_draws`` flips every draw of
+    every step."""
     n = net.node_count
     red, black = per_node(data.draw, n, MASSES), per_node(data.draw, n, MASSES)
     dr, db = per_node(data.draw, n, STEPS), per_node(data.draw, n, STEPS)
     u = np.random.default_rng(seed).random((steps, rows, n))
     z = iter_draws(UrnState(net, np.broadcast_to(red, (rows, n)), black), (dr, db), u)
-    swapped = iter_draws(UrnState(net, np.broadcast_to(black, (rows, n)), red), (db, dr),
-                         1.0 - u, strict=True)
+    swapped = strict_draws(UrnState(net, np.broadcast_to(black, (rows, n)), red), (db, dr),
+                           1.0 - u)
     for t, (a, b) in enumerate(zip(z, swapped, strict=True)):
         assert (b == 1 - a).all(), f"step {t + 1}"
 

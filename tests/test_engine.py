@@ -4,7 +4,7 @@ import pytest
 from polyanet.engine import UrnState, as_schedule
 from polyanet.graph import Network
 
-from conftest import path_network, random_connected_network, trial_draws
+from conftest import path_network, random_connected_network, strict_draws, trial_draws
 
 
 def single_node():
@@ -118,8 +118,8 @@ def test_pathwise_domination_under_shared_uniforms(rng):
 
 
 def test_colour_swap_mirrors_draws(rng):
-    """Swapping colours and mirroring the uniforms (with the strict rule)
-    flips every draw."""
+    """Swapping colours and mirroring the uniforms (with the strict rule of
+    ``strict_draws``) flips every draw."""
     net = random_connected_network(rng, 5)
     red = rng.uniform(0.2, 2, 5)
     black = rng.uniform(0.2, 2, 5)
@@ -127,7 +127,7 @@ def test_colour_swap_mirrors_draws(rng):
     db = rng.uniform(0, 2, 5)
     uniforms = rng.random((5, 10))
     z = trial_draws(net, red, black, (dr, db), uniforms)
-    z_swapped = trial_draws(net, black, red, (db, dr), 1.0 - uniforms, strict=True)
+    z_swapped = trial_draws(net, black, red, (db, dr), 1.0 - uniforms, strict_draws)
     assert (z_swapped == 1 - z).all()
 
 
