@@ -144,9 +144,12 @@ def _load_config_network(spec: dict) -> graph.Network:
 
 def _network_int(spec: dict, key: str, default):
     try:
-        return int(spec.get(key, default))
+        value = int(spec.get(key, default))
     except ValueError:
         raise UsageError(f"cannot parse {key} = {spec[key]!r} in [network]") from None
+    if value < 0:
+        raise UsageError(f"{key} must be nonnegative, got {value} in [network]")
+    return value
 
 
 def _cmd_gen(args):
@@ -154,6 +157,8 @@ def _cmd_gen(args):
         raise UsageError(f"--m must be at least 1, got {args.m}")
     if args.nodes <= args.m:
         raise UsageError(f"--nodes must exceed --m = {args.m}, got {args.nodes}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     net = graph.generate_barabasi_albert(args.nodes, args.m, args.seed)
     graph.save_network(net, args.out, args.format)
     print(f"wrote {net.node_count} nodes, {net.edge_count} edges to {args.out}")
@@ -182,6 +187,8 @@ def _cmd_exact(args):
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if not 0 <= args.delta < np.inf:
         raise UsageError(f"--delta must be finite and nonnegative, got {args.delta:g}")
+    if args.cap < 0:
+        raise UsageError(f"--cap must be nonnegative, got {args.cap}")
     net = graph.load_network(args.net)
     red = _alloc("--red", args.red, net.node_count)
     black = _alloc("--black", args.black, net.node_count)

@@ -9,8 +9,10 @@ of the drawn colour to its own urn.
 A state holds one trial, with per-node arrays of shape ``(N,)``, or a batch
 of independent trials advanced together, with arrays of shape
 ``(trials, N)``: one row per trial, so per-trial reductions run along a
-contiguous row.  :func:`iter_draws` is the one loop over time steps; the
-harness draws its uniforms k steps per stream call, changing no result.
+contiguous row.  ``red`` and ``total`` view one ``(2, ...)`` array, from
+which every step recomputes both super-urn sums with one sparse product.
+:func:`iter_draws` is the one loop over time steps; the harness draws its
+uniforms k steps per stream call, changing no result.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Network
-
-# Periodically rebuild the super-urn sums from the per-node masses so that
-# incremental float accumulation cannot drift over very long runs.
-REBUILD_INTERVAL = 1 << 16
 
 
 def as_schedule(schedule):
@@ -39,7 +37,7 @@ def as_schedule(schedule):
 
 
 class UrnState:
-    """Mutable urn masses for every node of a network at a given time.
+    """Mutable urn masses of every node at a given time, with their super-urn sums.
 
     Parameters
     ----------
@@ -55,20 +53,18 @@ class UrnState:
         shape = np.broadcast_shapes(np.shape(red_init), np.shape(black_init), (n,))
         if len(shape) > 2:
             raise ValueError(f"ball masses must have shape (N,) or (trials, N), got {shape}")
-        red = np.broadcast_to(np.asarray(red_init, dtype=float), shape).copy()
-        black = np.broadcast_to(np.asarray(black_init, dtype=float), shape).copy()
+        red = np.broadcast_to(np.asarray(red_init, dtype=float), shape)
+        black = np.broadcast_to(np.asarray(black_init, dtype=float), shape)
         _check_masses("ball masses", red, black)
-        total = red + black
-        if (total <= 0).any():
-            raise ValueError(f"empty urn at nodes {_bad_nodes(total <= 0)}: "
+        masses = np.stack([red, red + black])
+        if (masses[1] <= 0).any():
+            raise ValueError(f"empty urn at nodes {_bad_nodes(masses[1] <= 0)}: "
                              "every node needs positive total mass")
-        self.net = net
-        self.red = red
-        self.total = total
-        self.rebuild()
+        self.net, self.time, self._masses = net, 0, masses
+        self.red, self.total = masses
+        self._sum()
         if (self.super_total <= 0).any():
             raise ValueError(f"empty super urn at nodes {_bad_nodes(self.super_total <= 0)}")
-        self.time = 0
 
     @property
     def node_count(self) -> int:
@@ -83,24 +79,23 @@ class UrnState:
     def super_black(self) -> np.ndarray:
         return self.super_total - self.super_red
 
-    def _select(self, take) -> "UrnState":
+    def _select(self, masses, super_red, super_total) -> "UrnState":
         dup = object.__new__(UrnState)
-        dup.net = self.net
-        for name in ("red", "total", "super_red", "super_total"):
-            setattr(dup, name, take(getattr(self, name)))
-        dup.time = self.time
-        dup._steps_since_rebuild = self._steps_since_rebuild
+        dup.net, dup.time, dup._masses = self.net, self.time, masses
+        dup.red, dup.total = masses
+        dup.super_red, dup.super_total = super_red, super_total
         return dup
 
     def copy(self) -> "UrnState":
-        return self._select(np.copy)
+        return self._select(self._masses.copy(), self.super_red.copy(), self.super_total.copy())
 
     def rows(self) -> list:
         """One-trial states viewing each row of a batch (``[self]`` for one
-        trial); they share this state's arrays."""
+        trial), for reading: they share this state's arrays."""
         if self.red.ndim == 1:
             return [self]
-        return [self._select(lambda a, k=k: a[k]) for k in range(self.red.shape[0])]
+        return [self._select(self._masses[:, k], self.super_red[k], self.super_total[k])
+                for k in range(self.red.shape[0])]
 
     def draw(self, uniforms) -> np.ndarray:
         """Draw colours for every node from per-node uniforms; no state change.
@@ -111,26 +106,17 @@ class UrnState:
 
     def advance(self, draws, delta_red, delta_black) -> None:
         """Apply draws: add reinforcement of the drawn colour to each node's
-        urn and update the super-urn sums incrementally, both colours of
-        every trial in one sparse product.  Of ``drew * dr`` and ``~drew * db``
-        one is exactly 0.0, so their sum selects the drawn colour's mass."""
+        urn, then recompute the super-urn sums.  Of ``drew * dr`` and
+        ``~drew * db`` one is exactly 0.0, so their sum is the drawn colour's
+        mass, without the branch per draw that ``np.where`` takes."""
         drew = np.asarray(draws) == 1
-        dr = np.asarray(delta_red, dtype=float)
-        db = np.asarray(delta_black, dtype=float)
+        dr, db = np.asarray(delta_red, dtype=float), np.asarray(delta_black, dtype=float)
         _check_masses("reinforcement masses", dr, db)
-        adds = np.empty((2,) + self.red.shape)
-        np.multiply(drew, dr, out=adds[0])
-        np.multiply(~drew, db, out=adds[1])
-        adds[1] += adds[0]
-        self.red += adds[0]
-        self.total += adds[1]
-        sums = _closed_sums(self.net, adds)
-        self.super_red += sums[0]
-        self.super_total += sums[1]
+        red = drew * dr
+        self.red += red
+        self.total += red + ~drew * db
+        self._sum()
         self.time += 1
-        self._steps_since_rebuild += 1
-        if self._steps_since_rebuild >= REBUILD_INTERVAL:
-            self.rebuild()
 
     def step(self, uniforms, delta_red, delta_black) -> np.ndarray:
         """Draw every node once and apply the reinforcements; returns draws."""
@@ -138,11 +124,10 @@ class UrnState:
         self.advance(z, delta_red, delta_black)
         return z
 
-    def rebuild(self) -> None:
-        """Recompute super-urn sums from the per-node masses, as C-contiguous rows."""
-        sums = _closed_sums(self.net, np.stack([self.red, self.total]))
+    def _sum(self) -> None:
+        """Both super-urn sums of every trial, as C-contiguous rows, by one product."""
+        sums = _closed_sums(self.net, self._masses)
         self.super_red, self.super_total = np.ascontiguousarray(sums)
-        self._steps_since_rebuild = 0
 
     def metrics(self):
         """Network susceptibility and exposure: ``(U_mean, S_mean, U, S)``."""

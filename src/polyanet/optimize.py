@@ -131,7 +131,7 @@ def optimize_cure_step(net: Network, state: UrnState, budget: float,
     the infection-side reinforcement held fixed."""
     obj = ExposureObjective(state)
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (net.node_count,))
-    return frank_wolfe_simplex(lambda x: obj.value_and_gradients(x, y)[:2], budget,
+    return frank_wolfe_simplex(lambda x: obj.value_and_grad(x, y), budget,
                                net.node_count, cfg)
 
 
@@ -158,7 +158,8 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
     responses with iterate averaging.
 
     The curing player minimizes and the infection player maximizes; both
-    best responses reuse the simplex descent.  Convergence is judged by
+    best responses reuse the simplex descent, the infection player's on the
+    colour-mirrored objective, which it minimizes.  Convergence is judged by
     exploitability: each candidate pair is certified using the best-response
     values plus their duality gaps, and the best certified pair is returned.
     If the round cap is reached first, the result is flagged unconverged.
@@ -172,20 +173,19 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     cfg = cfg or DescentConfig()
     obj = ExposureObjective(state)
+    mirror = obj.mirrored()
     n = net.node_count
 
     def best_cure(y):
         return optimize_cure_step(net, state, curing_budget, y, cfg)
 
     def best_infect(x):
-        def negated(y):
-            value, _, grad_y = obj.value_and_gradients(x, y)
-            return -value, -grad_y
-        return frank_wolfe_simplex(negated, infection_budget, n, cfg)
+        return frank_wolfe_simplex(lambda y: mirror.value_and_grad(y, x),
+                                   infection_budget, n, cfg)
 
     def bound(rx, ry):
         """Exploitability bound certified by best responses with their gaps."""
-        return max(0.0, float((-ry.value + ry.gap) - (rx.value - rx.gap)))
+        return max(0.0, float((1.0 - ry.value + ry.gap) - (rx.value - rx.gap)))
 
     best = None  # (eps, x, y)
     y_cur = np.full(n, infection_budget / n)

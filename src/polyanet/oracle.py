@@ -2,12 +2,14 @@
 and objectives for the optimizers.
 
 The history enumerators are exponential in (nodes x steps) and guarded by
-explicit caps.  The time-1 infection rate is closed-form, and the one-step
-expected network exposure is an integral whose cost is linear in the edges.
+explicit caps.  The time-1 infection rate is closed-form.  The one-step
+expected network exposure is an integral whose cost is linear in the edges;
+its infection side is its curing side with the colours swapped.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,11 +199,12 @@ class ExposureObjective:
         a_j(t) = s_j exp(-t y_j) + (1 - s_j) exp(-t x_j),
         r_j(t) = s_j exp(-t y_j) / a_j(t).
 
-    It is summed in log space over Q quadrature points, to rounding error;
-    the gradients differentiate under the integral.  Each call sizes its
-    rule from the smallest super-urn total and the largest ``D_i`` that its
-    steps can reach, so Q grows with the log of their ratio (about 50 at
-    10 red and 10 black per node, N = 1363) and no step is out of range.
+    It is summed in log space over Q quadrature points, to rounding error,
+    and ``grad_x`` differentiates under the integral; ``grad_y`` is minus the
+    ``grad_x`` of the colour-swapped objective (:meth:`mirrored`).  Each call
+    sizes its rule from the smallest super-urn total and the largest ``D_i``
+    that its steps can reach, so Q grows with the log of their ratio (about
+    50 at 10 red and 10 black per node, N = 1363) and no step is out of range.
     One evaluation costs O(Q nnz(C)), C the closed adjacency.
 
     The objective is convex in the curing (black) vector ``x`` and concave
@@ -209,18 +212,27 @@ class ExposureObjective:
     """
 
     def __init__(self, state: UrnState):
-        total = state.super_total
+        # Copies: the state's arrays change in place as it advances.
+        self._total = total = state.super_total.copy()
         s, q = state.super_red / total, state.super_black / total
         self._closed = state.net.closed_adjacency
-        self._total = total
-        self._urn_total = state.total
-        self._red = state.super_red[:, None]
+        self._urn_total = state.total.copy()
+        self._red, self._black = state.super_red[:, None].copy(), state.super_black[:, None]
         self._s, self._q = s[:, None], q[:, None]
         # An outcome that cannot happen gets an infinite step, which drops
         # its term from a_j in _terms.
         self._never_red = np.where(s == 0, np.inf, 0.0)
         self._never_black = np.where(q == 0, np.inf, 0.0)
         self._n = state.node_count
+
+    def mirrored(self) -> "ExposureObjective":
+        """The objective with the colours swapped: at ``(y, x)`` its value is
+        ``E[B/D] = 1 - value(x, y)`` and its ``grad_x`` minus the ``y`` gradient."""
+        dup = copy.copy(self)
+        dup._s, dup._q = self._q, self._s
+        dup._red, dup._black = self._black, self._red
+        dup._never_red, dup._never_black = self._never_black, self._never_red
+        return dup
 
     def _terms(self, x, y):
         """Per node (rows) and quadrature point (columns): ``r_j(t)``, the
@@ -242,29 +254,25 @@ class ExposureObjective:
         return t, r, weight, num
 
     def value(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         _, _, weight, num = self._terms(x, y)
         return float(np.vdot(weight, num)) / self._n
 
-    def value_and_gradients(self, x, y):
-        """Objective value with gradients in the curing and infection vectors.
-
-        ``grad_y = int exp(-t D) - int t N exp(-t D) = B / D^2`` cancels when
-        ``N >> B``: its relative error grows with the ratio of infection step
-        to super-urn total, to about 2e-9 at 10^3 and 2e-6 at 10^6."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def value_and_grad(self, x, y):
+        """Objective value and its gradient in the curing vector ``x``."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         t, r, weight, num = self._terms(x, y)
-        closed = self._closed
-        mass = closed @ weight
-        y = y[:, None]
         # others_j = -sum over i in N[j] of weight_i (num_i - y_j r_j): the
         # super urns holding j, weighted by their red mass without j's step.
-        others = y * r * mass - closed @ (weight * num)
+        others = y[:, None] * r * (self._closed @ weight) - self._closed @ (weight * num)
         grad_x = (t * (1.0 - r) * others).sum(axis=1) / self._n
-        grad_y = (r * mass - t * r * (y * mass - others)).sum(axis=1) / self._n
-        return float(np.vdot(weight, num)) / self._n, grad_x, grad_y
+        return float(np.vdot(weight, num)) / self._n, grad_x
+
+    def value_and_gradients(self, x, y):
+        """Value and the gradients in ``x`` and in ``y`` (by :meth:`mirrored`)."""
+        value, grad_x = self.value_and_grad(x, y)
+        _, grad_y = self.mirrored().value_and_grad(y, x)
+        return value, grad_x, -grad_y
 
 
 def expected_exposure(state: UrnState, curing_step, infection_step):

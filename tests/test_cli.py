@@ -297,6 +297,10 @@ def keep(text):
     (lambda text: re.sub(r"file = .*", "ba_nodes = abc", text), ["ba_nodes", "'abc'"], []),
     (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_seed = 1.5", text),
      ["ba_seed", "'1.5'"], []),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_seed = -1", text),
+     ["ba_seed", "nonnegative", "-1"], []),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_m = -2", text),
+     ["ba_m", "nonnegative", "-2"], []),
     (lambda text: text.replace("red_budget = 5\n", ""),
      ["red_values or red_budget", "'uniform'"], []),
     (lambda text: text.replace("init = iii", "init = zz"),
@@ -315,10 +319,10 @@ def keep(text):
                                "cure_budget = 5"),
      ["delta_b and cure_strategy"], []),
 ], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
-        "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed", "no-red",
-        "family-unknown", "arm-unknown", "delta-with-cure", "delta-with-delta-r",
-        "delta-with-delta-b", "delta-with-red-step-budget", "delta-r-with-red-step-budget",
-        "delta-b-with-cure"])
+        "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed",
+        "ba-seed-negative", "ba-m-negative", "no-red", "family-unknown", "arm-unknown",
+        "delta-with-cure", "delta-with-delta-r", "delta-with-delta-b",
+        "delta-with-red-step-budget", "delta-r-with-red-step-budget", "delta-b-with-cure"])
 def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words, flags):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(edit(CONFIG.format(net=p5_file)))
@@ -348,7 +352,7 @@ def test_game_bad_flag_is_usage_error(p3_file, capsys, flag, value):
 @pytest.mark.parametrize("flag, value", [
     *BAD_MASSES, ("--x", "uniform:nan"), ("--x", "uniform:inf"), ("--x", "uniform:-1"),
     ("--y", "1,2,abc"), ("--y", "1"), ("--delta", "-1"), ("--delta", "nan"),
-    ("--delta", "inf"), ("--n", "0"),
+    ("--delta", "inf"), ("--n", "0"), ("--cap", "-1"),
 ])
 def test_exact_bad_flag_is_usage_error(p3_file, capsys, flag, value):
     args = {"--red": "uniform:1", "--black": "uniform:1", "--x": "uniform:1",
@@ -360,7 +364,7 @@ def test_exact_bad_flag_is_usage_error(p3_file, capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--m", "0"), ("--m", "-1"), ("--nodes", "1"), ("--nodes", "0"),
+    ("--m", "0"), ("--m", "-1"), ("--nodes", "1"), ("--nodes", "0"), ("--seed", "-1"),
 ])
 def test_gen_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     args = {"--nodes": "10", "--m": "1", flag: value}

@@ -7,7 +7,7 @@ per-trial means must equal, bit for bit, those of a loop that runs one
 Networks survive a save and parse in either file format, and the graph
 layer's array code agrees with the definitions it implements.  The
 exposure integral must equal the enumeration of every closed
-neighbourhood's joint draws.  Swapping the colours and mirroring the
+neighbourhood's joint draws, and its colour swap must equal one minus it.  Swapping the colours and mirroring the
 uniforms must flip every draw.  The simplex descent must converge and
 certify its value by its duality gap, and every strategy must spend its
 budget.
@@ -207,13 +207,34 @@ CURING_STEPS = st.one_of(STEPS, st.sampled_from([1e6, 1e9]),
                          st.floats(2.0, 9.0).map(lambda e: 10.0**e))
 
 
+@pytest.mark.parametrize("x_steps, y_steps", [(CURING_STEPS, STEPS), (STEPS, CURING_STEPS)],
+                         ids=["wide-curing", "wide-infection"])
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(net=networks(max_nodes=10), data=st.data())
-def test_exposure_integral_matches_enumeration(net, data):
+def test_exposure_integral_matches_enumeration(x_steps, y_steps, net, data):
+    """Either step, the curing or the infection one, reaches far above the
+    super-urn totals."""
+    n = net.node_count
+    state = UrnState(net, per_node(data.draw, n, MASSES), per_node(data.draw, n, MASSES))
+    x, y = per_node(data.draw, n, x_steps), per_node(data.draw, n, y_steps)
+    assert_exposure_matches_enumeration(state, x, y)
+
+
+@CONTRACT
+@given(net=networks(), data=st.data())
+def test_mirrored_exposure_swaps_the_colours(net, data):
+    """The colour-swapped objective at ``(y, x)`` is ``1 - value`` with the
+    gradients negated and exchanged."""
     n = net.node_count
     state = UrnState(net, per_node(data.draw, n, MASSES), per_node(data.draw, n, MASSES))
     x, y = per_node(data.draw, n, CURING_STEPS), per_node(data.draw, n, STEPS)
-    assert_exposure_matches_enumeration(state, x, y)
+    obj = ExposureObjective(state)
+    mirror = obj.mirrored()
+    assert abs(obj.value(x, y) + mirror.value(y, x) - 1.0) <= 1e-15
+    value, grad_x, grad_y = obj.value_and_gradients(x, y)
+    m_value, m_grad_y, m_grad_x = mirror.value_and_gradients(y, x)
+    assert m_value == mirror.value(y, x)
+    assert (m_grad_y == -grad_y).all() and (m_grad_x == -grad_x).all()
 
 
 def test_exposure_integral_matches_enumeration_with_one_colour_super_urns():

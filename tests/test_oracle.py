@@ -401,6 +401,16 @@ def test_exposure_exact_at_colour_symmetric_state_with_large_hub():
     assert value == pytest.approx(0.5, abs=1e-13)  # swapping colours maps value to 1 - value
 
 
+def test_exposure_objective_is_a_snapshot_of_its_state():
+    """Advancing the state after the objective is built changes no value."""
+    net = generate_barabasi_albert(20, 1, 0)
+    state = UrnState(net, np.full(20, 10.0), np.full(20, 10.0))
+    obj = ExposureObjective(state)
+    before = obj.value(np.ones(20), np.ones(20))
+    state.advance(np.ones(20), 5.0, 5.0)
+    assert obj.value(np.ones(20), np.ones(20)) == before == pytest.approx(0.5, abs=1e-13)
+
+
 def test_exposure_memory_on_facebook_sized_network():
     net = generate_barabasi_albert(1363, 10, 0)
     n = net.node_count
