@@ -136,9 +136,14 @@ def _load_config_network(spec: dict) -> graph.Network:
     if "file" in spec:
         return graph.load_network(spec["file"])
     if "ba_nodes" in spec:
-        return graph.generate_barabasi_albert(_network_int(spec, "ba_nodes", None),
-                                              _network_int(spec, "ba_m", 1),
-                                              _network_int(spec, "ba_seed", 0))
+        nodes = _network_int(spec, "ba_nodes", None)
+        m = _network_int(spec, "ba_m", 1)
+        seed = _network_int(spec, "ba_seed", 0)
+        if m < 1:
+            raise UsageError(f"ba_m must be at least 1, got {m} in [network]")
+        if m >= nodes:
+            raise UsageError(f"ba_m must be below ba_nodes = {nodes}, got {m} in [network]")
+        return graph.generate_barabasi_albert(nodes, m, seed)
     raise UsageError("[network] section needs 'file' or 'ba_nodes'")
 
 
@@ -213,6 +218,8 @@ def _cmd_exact(args):
 def _cmd_run(args):
     """``init-run``, ``cure-run`` and ``compare``: arms share streams unless
     ``--independent`` gives arm ``k`` the stream offset ``k``."""
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     net_spec, run, arms = harness.load_config_file(args.config)
     if not arms:
         raise UsageError(f"{args.config} has no [arm:NAME] section; add one per strategy arm")

@@ -7,16 +7,19 @@ Each stream hands out k steps of uniforms per call, which leaves the streams
 and results unchanged: a counter-based stream gives the same doubles however
 many it hands out at once.  Streams depend only on the key, never on
 scheduling: trials are stepped together in blocks (one row of a batched
-:class:`UrnState` per trial) and split across worker processes, and every
-split aggregates to identical results.  Under common random numbers every
-arm uses arm offset 0 and trials are pathwise paired across arms.
+:class:`UrnState` per trial), the blocks of one call run concurrently on
+threads, one per available CPU shared among the ``n_jobs`` worker
+processes that trials may be split across, and every split aggregates to
+byte-identical results.  Under common random numbers every arm uses arm
+offset 0 and trials are pathwise paired across arms.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -84,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("steps must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.descent_iterations is not None and self.descent_iterations < 1:
+            raise ValueError("descent_iterations must be >= 1")
         for name in ("red_budget", "init_budget", "cure_budget", "red_step_budget",
                      "delta", "delta_r", "delta_b", "red_values", "black_values"):
             v = getattr(self, name)
@@ -142,11 +147,13 @@ def _descent_config(cfg: ExperimentConfig):
 
 
 def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
-              arm: int) -> np.ndarray:
+              arm: int, threads: int = 1) -> np.ndarray:
     """Per-trial node-mean draws of the given trials, shape (len(trials), steps).
 
     Trials are stepped together in blocks of at most ``_BLOCK_CELLS // N``
     rows; row ``k`` of a block draws from trial ``trials[k]``'s own stream.
+    Blocks run on up to ``threads`` threads, each writing only its own rows
+    of the result; a single block runs on the calling thread.
     """
     n = net.node_count
     if cfg.delta is not None:
@@ -165,13 +172,37 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
             schedule = lambda t, state: (red_step, allocator(t, state, red_step))
     means = np.empty((len(trials), cfg.steps))
     rows = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, len(trials), rows):
+
+    def run_block(lo: int) -> None:
         block = trials[lo:lo + rows]
         streams = [trial_generator(cfg.seed, s, arm) for s in block]
         state = UrnState(net, np.broadcast_to(red, (len(block), n)), black)
         for t, z in enumerate(iter_draws(state, schedule, _uniforms(streams, n, cfg.steps))):
             means[lo:lo + len(block), t] = z.mean(axis=1)
+
+    starts = range(0, len(trials), rows)
+    threads = min(len(starts), threads)
+    if threads == 1:
+        for lo in starts:
+            run_block(lo)
+    else:
+        net.closed_adjacency  # built once here, not raced for by the threads
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # Reading every result raises a block's exception here; map
+            # cancels the blocks not yet started when it does.
+            for _ in pool.map(run_block, starts):
+                pass
     return means
+
+
+def _threads_per_process(processes: int) -> int:
+    """Threads for each of ``processes`` worker processes: the CPUs this
+    process may run on, shared out with at least one each."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // processes)
 
 
 def _uniforms(streams, n: int, steps: int):
@@ -201,19 +232,23 @@ def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
     """Monte Carlo estimate of the average infection rate over time.
 
     Deterministic given the config and master seed; trials may be executed
-    by a process pool (``n_jobs``) without changing the result.  The
-    standard error is that of the mean of the per-trial network means.
+    by a process pool (``n_jobs`` >= 1) and their blocks by threads, one per
+    available CPU shared among the processes, without changing the result.
+    The standard error is that of the mean of the per-trial network means.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     cfg.validate()
     red, black = resolve_initialization(net, cfg)
     trials = cfg.trials
-    if n_jobs <= 1 or trials < 2 * n_jobs:
-        means = _simulate(net, cfg, red, black, range(trials), arm)
+    threads = _threads_per_process(n_jobs)
+    if n_jobs == 1 or trials < 2 * n_jobs:
+        means = _simulate(net, cfg, red, black, range(trials), arm, threads)
     else:
         bounds = np.linspace(0, trials, n_jobs + 1).astype(int)
         net.closed_adjacency  # imports scipy before the workers fork, so they inherit it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_simulate, net, cfg, red, black, range(lo, hi), arm)
+            futures = [pool.submit(_simulate, net, cfg, red, black, range(lo, hi), arm, threads)
                        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
             means = np.concatenate([f.result() for f in futures], axis=0)
     stderr = means.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(cfg.steps)
@@ -264,6 +299,8 @@ def run_arms(net: Network, configs, *, independent: bool = False,
     """Run one arm per config.  Arms share the per-trial streams (common
     random numbers), so differences are strategy-driven, unless
     ``independent`` gives arm ``k`` the stream offset ``k``."""
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     return ComparisonResult([run_experiment(net, cfg, n_jobs=n_jobs, arm=k if independent else 0)
                              for k, cfg in enumerate(configs)])
 

@@ -141,6 +141,12 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
     reinforcement (zero if not given).  A batched state gets one allocation
     per trial row; the weighted families read every row at once and family
     (i) optimizes each row in turn.
+
+    The harness may call one policy from several threads at once, one per
+    block of trials, so the policy keeps no state between calls in its
+    closure: per-row state (such as a warm start for family (i)) must be
+    keyed by the state passed in.  Warnings from concurrent calls may
+    interleave on stderr.
     """
     if spec.side != "cure":
         raise ValueError(f"expected a cure strategy, got {spec}")

@@ -301,6 +301,14 @@ def keep(text):
      ["ba_seed", "nonnegative", "-1"], []),
     (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_m = -2", text),
      ["ba_m", "nonnegative", "-2"], []),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_m = 0", text),
+     ["ba_m", "at least 1", "got 0"], []),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_m = 9", text),
+     ["ba_m", "below ba_nodes = 9", "got 9"], []),
+    (lambda text: text.replace("[run]", "[run]\ndescent_iterations = -3"),
+     ["descent_iterations", "'uniform'"], []),
+    (keep, ["--jobs must be at least 1, got -4"], ["--jobs", "-4"]),
+    (keep, ["--jobs must be at least 1, got 0"], ["--jobs", "0"]),
     (lambda text: text.replace("red_budget = 5\n", ""),
      ["red_values or red_budget", "'uniform'"], []),
     (lambda text: text.replace("init = iii", "init = zz"),
@@ -320,7 +328,9 @@ def keep(text):
      ["delta_b and cure_strategy"], []),
 ], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
         "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed",
-        "ba-seed-negative", "ba-m-negative", "no-red", "family-unknown", "arm-unknown",
+        "ba-seed-negative", "ba-m-negative", "ba-m-zero", "ba-m-not-below-nodes",
+        "descent-iterations-negative", "jobs-negative", "jobs-zero", "no-red",
+        "family-unknown", "arm-unknown",
         "delta-with-cure", "delta-with-delta-r", "delta-with-delta-b",
         "delta-with-red-step-budget", "delta-r-with-red-step-budget", "delta-b-with-cure"])
 def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words, flags):

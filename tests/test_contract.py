@@ -1,9 +1,10 @@
 """Properties checked against plain reference computations.
 
 ``run_experiment`` steps trials in blocks, draws each trial's uniforms
-several steps at a time and may split trials across worker processes; its
-per-trial means must equal, bit for bit, those of a loop that runs one
-:class:`UrnState` per trial on that trial's own stream, one call per step.
+several steps at a time, runs blocks on threads and may split trials
+across worker processes; its per-trial means must equal, bit for bit,
+those of a loop that runs one :class:`UrnState` per trial on that trial's
+own stream, one call per step.
 Networks survive a save and parse in either file format, and the graph
 layer's array code agrees with the definitions it implements.  The
 exposure integral must equal the enumeration of every closed
@@ -83,11 +84,12 @@ def reference_means(net, cfg, arm):
 @CONTRACT
 @given(net=networks(), trials=st.integers(1, 9), block_rows=st.integers(1, 4),
        steps=st.integers(1, 11), seed=st.integers(0, 2**32), arm=st.integers(0, 3),
-       n_jobs=st.sampled_from([1, 2]))
+       n_jobs=st.sampled_from([1, 2]), threads=st.sampled_from([1, 2, 3]))
 def test_run_experiment_matches_one_trial_reference(side, family, net, trials, block_rows,
-                                                    steps, seed, arm, n_jobs):
+                                                    steps, seed, arm, n_jobs, threads):
     """Up to 11 steps cross several draw chunks and end on a short one;
-    ``init-split`` reinforces the colours by different masses."""
+    ``init-split`` reinforces the colours by different masses.  Blocks run
+    on 1 to 3 threads per process, whatever the CPU count."""
     n = net.node_count
     if side == "init":
         cfg = ExperimentConfig(steps=steps, trials=trials, seed=seed, red_budget=2.0 * n,
@@ -104,7 +106,8 @@ def test_run_experiment_matches_one_trial_reference(side, family, net, trials, b
                                descent_iterations=DESCENT)
     # Blocks of block_rows trials, so that trial counts fall on both sides
     # of the block bound.
-    with mock.patch.object(harness, "_BLOCK_CELLS", block_rows * n):
+    with (mock.patch.object(harness, "_BLOCK_CELLS", block_rows * n),
+          mock.patch.object(harness, "_threads_per_process", lambda processes: threads)):
         got = run_experiment(net, cfg, n_jobs=n_jobs, arm=arm).per_trial_means
     assert (got == reference_means(net, cfg, arm)).all()
 

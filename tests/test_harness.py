@@ -1,9 +1,13 @@
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import polyanet.harness as harness
+from polyanet.cli import main
 from polyanet.graph import Network, generate_barabasi_albert
 from polyanet.harness import (
     ExperimentConfig,
@@ -50,6 +54,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="init_budget"):
         ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta=1.0,
                          init_strategy="ii").validate()
+    with pytest.raises(ValueError, match="descent_iterations must be >= 1"):
+        ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta=1.0, descent_iterations=0)
 
 
 def test_trial_streams_are_scheduling_independent(p3):
@@ -69,6 +75,11 @@ def test_parallel_equals_sequential(p3):
     assert (seq.per_trial_means == par.per_trial_means).all()
     assert (seq.mean_infection == par.mean_infection).all()
     assert (seq.stderr == par.stderr).all()
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_experiment(p3, cfg, n_jobs=bad)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_arms(p3, [cfg], n_jobs=bad)
 
 
 # sha256 of per_trial_means.tobytes(): the Monte Carlo outputs are pinned
@@ -90,7 +101,9 @@ PINNED_RUNS = [
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 @pytest.mark.parametrize("ba, kw, digest", PINNED_RUNS, ids=["init-ii", "cure-vi", "dr-ne-db"])
-def test_per_trial_means_are_pinned(ba, kw, digest, n_jobs):
+def test_per_trial_means_are_pinned(ba, kw, digest, n_jobs, monkeypatch):
+    """Blocks run on two threads per process, whatever the CPU count."""
+    monkeypatch.setattr(harness, "_threads_per_process", lambda processes: 2)
     net = generate_barabasi_albert(*ba)
     means = run_experiment(net, ExperimentConfig(**kw), n_jobs=n_jobs).per_trial_means
     assert hashlib.sha256(means.tobytes()).hexdigest() == digest
@@ -172,6 +185,71 @@ def test_optimizer_backed_curing_in_the_loop(p3):
     assert series.mean_infection.shape == (2,)
     again = run_experiment(p3, cfg)
     assert (series.per_trial_means == again.per_trial_means).all()
+
+
+THREADED_CURE = """
+[network]
+ba_nodes = 12
+ba_seed = 3
+
+[run]
+steps = 3
+trials = 5
+seed = 6
+red_budget = 12
+black_values = 1,1,1,1,1,1,1,1,1,1,1,1
+red_step_budget = 12
+cure_budget = 12
+
+[arm:weighted]
+cure = vi
+"""
+
+
+def test_threaded_blocks_join_and_pass_a_block_error_on(tmp_path, capsys, monkeypatch):
+    """Blocks of 2, 2 and 1 trials on three threads, which may outnumber
+    the CPUs, switching often: the run equals the one-thread run, and an error that
+    the cure policy raises in the one-trial block reaches the caller and
+    the CLI (exit 2) as itself.  No thread outlives either run."""
+    path = tmp_path / "cure.ini"
+    path.write_text(THREADED_CURE)
+    _, run, arms = load_config_file(path)
+    net = generate_barabasi_albert(12, 1, 3)
+    (cfg,) = build_configs(run, arms)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 2 * net.node_count)
+    monkeypatch.setattr(harness, "_threads_per_process", lambda processes: 1)
+    serial = run_experiment(net, cfg).per_trial_means
+    monkeypatch.setattr(harness, "_threads_per_process", lambda processes: 3)
+    error = ValueError("cure policy failed in one block")
+    build = harness.cure_allocator
+
+    def failing_allocator(spec, net, budget):
+        policy = build(spec, net, budget)
+
+        def fail_on_one_row(t, state, infection_step):
+            if state.red.shape[0] == 1 and t == 2:
+                raise error
+            return policy(t, state, infection_step)
+        return fail_on_one_row
+
+    started = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert (run_experiment(net, cfg).per_trial_means == serial).all()
+        assert threading.active_count() == started
+        monkeypatch.setattr(harness, "cure_allocator", failing_allocator)
+        with pytest.raises(ValueError) as raised:
+            run_experiment(net, cfg)
+        assert raised.value is error
+        assert threading.active_count() == started
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {error}\n"
+        assert threading.active_count() == started
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_emit_csv_roundtrip_and_schema(p3, tmp_path):
