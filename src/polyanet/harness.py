@@ -9,9 +9,11 @@ many it hands out at once.  Streams depend only on the key, never on
 scheduling: trials are stepped together in blocks (one row of a batched
 :class:`UrnState` per trial), the blocks of one call run concurrently on
 threads, one per available CPU shared among the ``n_jobs`` worker
-processes that trials may be split across, and every split aggregates to
-byte-identical results.  Under common random numbers every arm uses arm
-offset 0 and trials are pathwise paired across arms.
+processes that trials may be split across (except where the curing runs
+the optimizer, whose Python-bound descents run slower on threads), and
+every split aggregates to byte-identical results.  Under common random
+numbers every arm uses arm offset 0 and trials are pathwise paired across
+arms.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -153,7 +156,10 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
     Trials are stepped together in blocks of at most ``_BLOCK_CELLS // N``
     rows; row ``k`` of a block draws from trial ``trials[k]``'s own stream.
     Blocks run on up to ``threads`` threads, each writing only its own rows
-    of the result; a single block runs on the calling thread.
+    of the result; a single block, or an arm whose curing runs the
+    optimizer (Python-bound, so slower on threads), runs on the calling
+    thread.  An error in one block, or an interrupt, stops the others at
+    their next step.
     """
     n = net.node_count
     if cfg.delta is not None:
@@ -170,15 +176,24 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
             spec = StrategySpec("cure", cfg.cure_strategy, descent=_descent_config(cfg))
             allocator = cure_allocator(spec, net, cfg.cure_budget)
             schedule = lambda t, state: (red_step, allocator(t, state, red_step))
+            if spec.uses_optimizer:
+                threads = 1
     means = np.empty((len(trials), cfg.steps))
     rows = max(1, _BLOCK_CELLS // n)
+    stop = threading.Event()
 
     def run_block(lo: int) -> None:
         block = trials[lo:lo + rows]
         streams = [trial_generator(cfg.seed, s, arm) for s in block]
         state = UrnState(net, np.broadcast_to(red, (len(block), n)), black)
-        for t, z in enumerate(iter_draws(state, schedule, _uniforms(streams, n, cfg.steps))):
-            means[lo:lo + len(block), t] = z.mean(axis=1)
+        try:
+            for t, z in enumerate(iter_draws(state, schedule, _uniforms(streams, n, cfg.steps))):
+                if stop.is_set():
+                    return
+                means[lo:lo + len(block), t] = z.mean(axis=1)
+        except BaseException:
+            stop.set()
+            raise
 
     starts = range(0, len(trials), rows)
     threads = min(len(starts), threads)
@@ -189,9 +204,14 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
         net.closed_adjacency  # built once here, not raced for by the threads
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # Reading every result raises a block's exception here; map
-            # cancels the blocks not yet started when it does.
-            for _ in pool.map(run_block, starts):
-                pass
+            # cancels the blocks not yet started, and the stop event ends
+            # the running ones, before the pool joins them.
+            try:
+                for _ in pool.map(run_block, starts):
+                    pass
+            except BaseException:  # a block's error or an interrupt
+                stop.set()
+                raise
     return means
 
 

@@ -177,14 +177,31 @@ def test_cure_strategy_runs_and_spends_budget(p5):
     assert series.mean_infection.shape == (3,)
 
 
-def test_optimizer_backed_curing_in_the_loop(p3):
+def test_optimizer_backed_curing_in_the_loop(p3, monkeypatch):
+    """Its per-row descents are Python-bound and run slower on threads, so
+    its blocks stay on the calling thread whatever the thread count."""
     cfg = ExperimentConfig(steps=2, trials=3, seed=8, red_budget=3.0,
                            black_values=(1.0, 1.0, 1.0), red_step_budget=3.0,
                            cure_strategy="i", cure_budget=3.0, descent_iterations=40)
     series = run_experiment(p3, cfg)
     assert series.mean_infection.shape == (2,)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", p3.node_count)
+    monkeypatch.setattr(harness, "_threads_per_process", lambda processes: 3)
+    callers = set()
+    build = harness.cure_allocator
+
+    def recording_allocator(spec, net, budget):
+        policy = build(spec, net, budget)
+
+        def record_caller(t, state, infection_step):
+            callers.add(threading.current_thread())
+            return policy(t, state, infection_step)
+        return record_caller
+
+    monkeypatch.setattr(harness, "cure_allocator", recording_allocator)
     again = run_experiment(p3, cfg)
     assert (series.per_trial_means == again.per_trial_means).all()
+    assert callers == {threading.current_thread()}
 
 
 THREADED_CURE = """
@@ -193,7 +210,7 @@ ba_nodes = 12
 ba_seed = 3
 
 [run]
-steps = 3
+steps = 40
 trials = 5
 seed = 6
 red_budget = 12
@@ -208,9 +225,11 @@ cure = vi
 
 def test_threaded_blocks_join_and_pass_a_block_error_on(tmp_path, capsys, monkeypatch):
     """Blocks of 2, 2 and 1 trials on three threads, which may outnumber
-    the CPUs, switching often: the run equals the one-thread run, and an error that
-    the cure policy raises in the one-trial block reaches the caller and
-    the CLI (exit 2) as itself.  No thread outlives either run."""
+    the CPUs, switching often: the run equals the one-thread run.  An error
+    that the cure policy raises at the first step of the one-trial block,
+    while the other blocks wait there for it, reaches the caller and the
+    CLI (exit 2) as itself, and the other blocks stop soon after instead of
+    running their 40 steps.  No thread outlives any run."""
     path = tmp_path / "cure.ini"
     path.write_text(THREADED_CURE)
     _, run, arms = load_config_file(path)
@@ -222,13 +241,19 @@ def test_threaded_blocks_join_and_pass_a_block_error_on(tmp_path, capsys, monkey
     monkeypatch.setattr(harness, "_threads_per_process", lambda processes: 3)
     error = ValueError("cure policy failed in one block")
     build = harness.cure_allocator
+    calls = []  # per run, policy calls of each two-trial block's state
 
     def failing_allocator(spec, net, budget):
         policy = build(spec, net, budget)
+        failed = threading.Event()
+        calls.append({})
 
         def fail_on_one_row(t, state, infection_step):
-            if state.red.shape[0] == 1 and t == 2:
+            if state.red.shape[0] == 1:
+                failed.set()
                 raise error
+            calls[-1][id(state)] = calls[-1].get(id(state), 0) + 1
+            assert failed.wait(timeout=30)
             return policy(t, state, infection_step)
         return fail_on_one_row
 
@@ -248,6 +273,8 @@ def test_threaded_blocks_join_and_pass_a_block_error_on(tmp_path, capsys, monkey
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {error}\n"
         assert threading.active_count() == started
+        for counts in calls:
+            assert len(counts) == 2 and max(counts.values()) < cfg.steps // 2
     finally:
         sys.setswitchinterval(interval)
 
