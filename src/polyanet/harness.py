@@ -8,10 +8,11 @@ and results unchanged: a counter-based stream gives the same doubles however
 many it hands out at once.  Streams depend only on the key, never on
 scheduling: trials are stepped together in blocks (one row of a batched
 :class:`UrnState` per trial), the blocks of one call run concurrently on
-threads, one per available CPU shared among the ``n_jobs`` worker
-processes that trials may be split across (except where the curing runs
-the optimizer, whose Python-bound descents run slower on threads), and
-every split aggregates to byte-identical results.  Under common random
+threads, one per available CPU (capped by a cgroup v2 CPU quota) shared
+among the ``n_jobs`` worker processes that trials may be split across
+(except where the curing runs the optimizer, whose Python-bound descents
+run slower on threads), and every split aggregates to byte-identical
+results.  Under common random
 numbers every arm uses arm offset 0 and trials are pathwise paired across
 arms.
 """
@@ -22,7 +23,7 @@ import configparser
 import json
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -39,6 +40,7 @@ _ARM_SHIFT = 40  # trial index occupies the low 40 bits of the stream key
 # few MB whatever the network size.
 _BLOCK_CELLS = 1 << 16
 _CHUNK_STEPS = 4  # steps drawn per stream call; buffers 4 * _BLOCK_CELLS doubles
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota of this process's cgroup
 
 
 def trial_generator(master_seed: int, trial: int, arm: int = 0) -> np.random.Generator:
@@ -217,12 +219,28 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
 
 def _threads_per_process(processes: int) -> int:
     """Threads for each of ``processes`` worker processes: the CPUs this
-    process may run on, shared out with at least one each."""
+    process may run on, capped by its cgroup's CPU quota, shared out with
+    at least one each."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    quota = _cpu_quota(_CPU_MAX)
+    if quota is not None:
+        cpus = min(cpus, quota)
     return max(1, cpus // processes)
+
+
+def _cpu_quota(path) -> int | None:
+    """Whole CPUs a cgroup v2 ``cpu.max`` file grants, ceil(quota / period),
+    or None when the file is missing, unreadable or sets no quota (``max``)."""
+    try:
+        quota, period = Path(path).read_text().split()
+        if quota == "max":
+            return None
+        return max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
 
 
 def _uniforms(streams, n: int, steps: int):
@@ -265,6 +283,10 @@ def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
     if n_jobs == 1 or trials < 2 * n_jobs:
         means = _simulate(net, cfg, red, black, range(trials), arm, threads)
     else:
+        # Imported here: with multiprocessing it costs 15-25 ms, which every
+        # import of polyanet paid.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, trials, n_jobs + 1).astype(int)
         net.closed_adjacency  # imports scipy before the workers fork, so they inherit it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -61,6 +61,18 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(code, tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_import_leaves_process_pools_unloaded():
+    """``concurrent.futures.process`` and ``multiprocessing`` load only when a
+    run splits its trials across processes."""
+    src = str(Path(polyanet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, polyanet, polyanet.cli; print(sorted(m for m in sys.modules "
+            "if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_gen_writes_expected_edge_count(tmp_path, capsys):
     out = tmp_path / "ba.adj"
     assert main(["gen", "--nodes", "100", "--m", "1", "--seed", "7", "--out", str(out)]) == 0

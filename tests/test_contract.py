@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 import polyanet.harness as harness
 from polyanet.engine import UrnState, iter_draws
-from polyanet.graph import Network, outer_nodes, parse_network, save_network, target_set_dense
+from polyanet.graph import (Network, load_network, outer_nodes, parse_network, save_network,
+                            target_set_dense)
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
 from polyanet.oracle import ExposureObjective, infection_rate_time1
@@ -112,16 +113,36 @@ def test_run_experiment_matches_one_trial_reference(side, family, net, trials, b
     assert (got == reference_means(net, cfg, arm)).all()
 
 
+def reference_file(net, fmt):
+    """The text of a saved network, written one entry or edge at a time."""
+    if fmt == "matrix":
+        rows = [" ".join("1" if v else "0" for v in row) for row in net.adjacency]
+        return f"{net.node_count}\n" + "\n".join(rows) + "\n"
+    return "".join(f"{i + 1} {j + 1}\n" for i, j in net.edges())
+
+
 @pytest.mark.parametrize("fmt", ["matrix", "edges"])
-@CONTRACT
-@given(net=networks())
-def test_saved_network_parses_back(fmt, net):
+@settings(CONTRACT, max_examples=40)
+@given(net=networks(), data=st.data())
+def test_saved_network_parses_back(fmt, net, data):
+    """``save_network`` writes the reference writer's bytes and
+    ``load_network`` reads them back to the same arrays; so does
+    ``parse_network`` with comment and blank lines, trailing blanks and
+    ``\\r\\n`` or ``\\r`` line breaks added."""
+    want = (net.indptr.tolist(), net.indices.tolist())
     with tempfile.TemporaryDirectory() as tmp:
-        text = save_network(net, Path(tmp) / "net", fmt).read_text()
-    back, want = parse_network(text, fmt).closed_adjacency, net.closed_adjacency
-    assert back.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        assert (getattr(back, name) == getattr(want, name)).all(), name
+        path = save_network(net, Path(tmp) / ("net.adj" if fmt == "matrix" else "net.el"), fmt)
+        assert path.read_bytes() == reference_file(net, fmt).encode()
+        back = load_network(path)
+    assert (back.indptr.tolist(), back.indices.tolist()) == want
+    lines = []
+    for line in reference_file(net, fmt).splitlines():
+        lines += data.draw(st.lists(st.sampled_from(["", "  ", "#", "# a 1", "\t# 2 x"]),
+                                    max_size=1))
+        lines.append(line + data.draw(st.sampled_from(["", " ", "\t", " \t "])))
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    back = parse_network(eol.join(lines) + eol, fmt)
+    assert (back.indptr.tolist(), back.indices.tolist()) == want
 
 
 @settings(CONTRACT, max_examples=80)

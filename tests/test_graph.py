@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, floyd_warshall
 
+from polyanet import graph
 from polyanet.graph import (
     DisconnectedGraphError,
     GraphFormatError,
@@ -84,6 +86,46 @@ def test_parse_rejects_self_loop():
     assert _message(Network.from_edges, 4, [(0, 1), (3, 3), (1, 1)]) == "self-loop on node 4"
 
 
+def test_edge_list_errors_name_the_file_line():
+    """Comment and blank lines count, after any line break; the first bad
+    line is named."""
+    assert _message(parse_network, "# header\n\n1 2\nx y\n") == (
+        "edge line 4 contains a non-integer id")
+    assert _message(parse_network, "1 2\r\n\r\n# c\r\n2 3 4\r\n2 x\r\n") == (
+        "edge line 4 must be 'i j', got '2 3 4'")
+    assert _message(parse_network, "1 2\r# c\r  \r0 1\r") == (
+        "edge line 4: node ids are 1-indexed")
+    assert _message(parse_network, "# one\n5\n", "edges") == "edge line 2 must be 'i j', got '5'"
+    assert _message(parse_network, "1 2\n\n# c\n3 3\n") == "self-loop on node 3"
+    assert _message(parse_network, "1 2\n2 3037000500\n") == (
+        "3037000500 nodes exceed the 3037000499 a network can hold")
+
+
+def test_scan_reads_line_breaks_comments_and_widths():
+    """The array scan ends lines at \\n, \\r\\n and a lone \\r, drops comment
+    lines, reads up to 18 digits and leaves anything else to the line walk."""
+    values, counts = graph._scan("# c 1\r\n1 2\r02  3 \n\n\t#x 5\r\n10 123456789012345678\r")
+    assert values.tolist() == [1, 2, 2, 3, 10, 123456789012345678]
+    assert counts.tolist() == [2, 2, 2]
+    for text in ("1 1234567890123456789\n", "1 2\x0b3 4\n", "1 2 #\n", "1 -2\n", "1 2\u20283 4\n"):
+        assert graph._scan(text) is None, repr(text)
+
+
+def test_tokens_int_reads_parse_as_plain_digits():
+    """A token the array scan does not read (a sign, an underscore, a
+    non-ASCII digit, more than 18 digits) or a blank other than space and
+    tab sends the text to the line walk, which reads what ``int`` reads."""
+    plain = parse_network("1 2\n2 3\n")
+    for text in ("+1 2\n2 3\n", "1 0_2\n2 3\n", "1 \u0662\n2 3\n",
+                 "1 2\n2 0000000000000000000003\n", "1 2\x0c\n2 3\n", "1\xa02\n2 3\n"):
+        net = parse_network(text, "edges")
+        assert (net.indptr.tolist(), net.indices.tolist()) == (
+            plain.indptr.tolist(), plain.indices.tolist()), repr(text)
+    p3 = parse_network(P3_MATRIX)
+    net = parse_network("3\n0 01 0\n1 0 +1\n0 1 0\n")
+    assert net.indices.tolist() == p3.indices.tolist()
+
+
 def test_parse_rejects_bad_rows():
     with pytest.raises(GraphFormatError, match="expected 3 matrix rows"):
         parse_network("3\n0 1 0\n1 0 1\n")
@@ -158,6 +200,50 @@ def test_ba_dense_has_945_edges():
 def test_ba_two_nodes():
     net = generate_barabasi_albert(2, 1, seed=0)
     assert net.edge_count == 1
+
+
+def reference_barabasi_albert(node_count, m, seed):
+    """Edges of the process in ``generate_barabasi_albert``'s docstring, one
+    ``rng.integers`` draw at a time."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    endpoints = [v for e in edges for v in e]
+    for v in range(m, node_count):
+        targets = [] if endpoints else [0]  # m == 1: the first arrival takes node 0
+        while len(targets) < m:
+            cand = endpoints[rng.integers(len(endpoints))]
+            if cand not in targets:
+                targets.append(cand)
+        for t in targets:
+            edges.append((v, t))
+            endpoints.extend((v, t))
+    return edges
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (12, 11), (70, 1), (70, 2), (70, 7), (150, 10)])
+def test_ba_draws_one_at_a_time(n, m):
+    """Windows of draws, rewound at duplicate targets, make the network of
+    the one-at-a-time process."""
+    for seed in range(4):
+        want = Network.from_edges(n, reference_barabasi_albert(n, m, seed)).edges()
+        assert generate_barabasi_albert(n, m, seed).edges() == want
+
+
+# sha256 of the little-endian int64 edges() of generate_barabasi_albert(n, m,
+# seed), recorded from the generator that drew one target at a time.
+BA_DIGESTS = {
+    (100, 1, 7): "101f05133a7cd916f13b3166deed0aedb3ea477d4cc090f9c060254ea8015f32",
+    (100, 10, 7): "4384a421f1e6f96f2ad4d397481bcc4e92798fba8cba7edfa2ee287ad60109ed",
+    (1363, 1, 7): "2c0c034936f1ec318a2900e8bd79ed8d3430393f180e5b57cf8979b28234db3c",
+    (1363, 10, 7): "cb16dd7db5d5dc4013e4100cb235956491173d9db58b0c5bd89d1cfb4d497d10",
+    (30, 2, 5): "70812cc990a43e75d06ec3be3a62ae7713010de19da7adb96ff39b2e82c29988",
+}
+
+
+@pytest.mark.parametrize("n, m, seed", list(BA_DIGESTS))
+def test_ba_networks_are_pinned(n, m, seed):
+    edges = np.asarray(generate_barabasi_albert(n, m, seed).edges(), dtype="<i8")
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == BA_DIGESTS[n, m, seed]
 
 
 def test_ba_is_deterministic_per_seed():

@@ -223,6 +223,25 @@ cure = vi
 """
 
 
+def test_thread_count_honours_a_cpu_quota(tmp_path, monkeypatch):
+    """A cgroup v2 ``cpu.max`` caps the CPUs at ceil(quota / period);
+    ``max``, a missing file or one that does not parse sets no cap."""
+    cpu_max = tmp_path / "cpu.max"
+    for text, quota in (("max 100000\n", None), ("150000 100000\n", 2), ("50000 100000\n", 1),
+                        ("400000 100000\n", 4), ("100000\n", None), ("x 100000\n", None)):
+        cpu_max.write_text(text)
+        assert harness._cpu_quota(cpu_max) == quota, text
+    assert harness._cpu_quota(tmp_path / "missing") is None
+    monkeypatch.setattr(harness, "_CPU_MAX", cpu_max)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    cpu_max.write_text("250000 100000\n")
+    assert [harness._threads_per_process(p) for p in (1, 2, 4)] == [3, 1, 1]
+    cpu_max.write_text("max 100000\n")
+    assert [harness._threads_per_process(p) for p in (1, 2, 4)] == [8, 4, 2]
+    cpu_max.unlink()
+    assert harness._threads_per_process(1) == 8
+
+
 def test_threaded_blocks_join_and_pass_a_block_error_on(tmp_path, capsys, monkeypatch):
     """Blocks of 2, 2 and 1 trials on three threads, which may outnumber
     the CPUs, switching often: the run equals the one-thread run.  An error
