@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        sys.stderr.write(f"error: {args.command} ran out of memory\n")
+        return 2
     return 0
 
 

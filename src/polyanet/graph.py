@@ -7,6 +7,7 @@ all JSON emitted by the CLI use 1-indexed node ids.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,178 +213,168 @@ def _components(net):
 # ---------------------------------------------------------------------------
 
 def parse_network(text: str, fmt: str | None = None, *,
-                  require_connected: bool = True,
                   largest_component: bool = False) -> Network:
     """Parse a network from adjacency-matrix or edge-list text.
 
     Matrix format: first non-comment line is ``N``, followed by N rows of N
     whitespace-separated 0/1 entries.  Edge-list format: one ``i j`` pair per
-    line, 1-indexed.  Lines starting with ``#`` and blank lines are ignored.
-    ``fmt`` may be ``"matrix"`` or ``"edges"``; when omitted it is sniffed
-    from the token count of the first data line.  Matrix errors name the
-    matrix row, edge-list errors the line of the file.
+    line, 1-indexed, naming every id up to the largest.  Lines starting with
+    ``#`` and blank lines are ignored.  ``fmt`` may be ``"matrix"`` or
+    ``"edges"``; when omitted it is sniffed from the token count of the
+    first data line.  Matrix errors name the matrix row, edge-list errors the
+    line of the file.  ``largest_component`` keeps the largest component of
+    a disconnected network (or edge list that skips ids) instead of raising.
     """
-    net = _parse_tokens(text, fmt)
-    if net is None:
-        lines = [(k, ln) for k, ln in enumerate((ln.strip() for ln in text.splitlines()), 1)
-                 if ln and not ln.startswith("#")]
-        if not lines:
-            raise GraphFormatError("empty network file")
-        if fmt is None:
-            fmt = "matrix" if len(lines[0][1].split()) == 1 else "edges"
-        if fmt == "matrix":
-            net = _parse_matrix([ln for _, ln in lines])
-        elif fmt == "edges":
-            net = _parse_edges(lines)
-        else:
-            raise GraphFormatError(f"unknown network format {fmt!r}")
-    if largest_component and not net.is_connected():
-        keep = max(net._components, key=len)
-        label = np.full(net.node_count, -1)
-        label[keep] = np.arange(len(keep))
-        rows, cols = net._entries()
-        inside = (label[rows] >= 0) & (rows < cols)
-        net = Network.from_edges(len(keep), np.stack([label[rows[inside]], label[cols[inside]]], 1))
-    elif require_connected and not net.is_connected():
-        raise DisconnectedGraphError(net._components)
+    values, counts = _scan(text)
+    if not counts.size:
+        raise GraphFormatError("empty network file")
+    if fmt is None:
+        fmt = "matrix" if counts[0] == 1 else "edges"
+    if fmt == "matrix":
+        if counts[0] != 1 or values[0] == _NOT_INT:
+            raise GraphFormatError(
+                f"expected node count on first line, got {_data_lines(text)[0][1]!r}")
+        n = int(values[0])
+        if counts.size - 1 != n:  # n may be clamped: name the one on the line
+            raise GraphFormatError(
+                f"expected {int(_data_lines(text)[0][1])} matrix rows, got {counts.size - 1}")
+        _check_lines(text, 1, values[1:], counts[1:], n, 0, 1, (
+            "row {row} has {count} entries, expected {width}",
+            "row {row} contains a non-integer entry",
+            "row {row} contains an entry outside {{0,1}}"))
+        # No rows read as a 1-D array, as np.array([]) does.
+        net = Network(values[1:].reshape(n, n) if n else values[1:], require_connected=False)
+    elif fmt == "edges":
+        net = _edges(text, values, counts, largest_component)
+    else:
+        raise GraphFormatError(f"unknown network format {fmt!r}")
+    if not net.is_connected():
+        if not largest_component:
+            raise DisconnectedGraphError(net._components)
+        keep = np.array(max(net._components, key=len))
+        pairs = np.stack(net._entries(), 1)
+        inside = np.isin(pairs[:, 0], keep) & (pairs[:, 0] < pairs[:, 1])
+        net = Network.from_edges(keep.size, np.searchsorted(keep, pairs[inside]))
     return net
 
 
-# Line breaks of str.splitlines outside ASCII.
-_UNICODE_BREAKS = "\x85\u2028\u2029"
+_NOT_INT = -2  # what _scan stores for a token int cannot read
 
 
 def _scan(text):
-    """Values (int64) of the tokens outside comment lines, and the token
-    count of each data line, read in whole-array passes over the bytes of
-    ``text``.
-
-    Returns None unless each such token is at most 18 ASCII digits and the
-    only control characters are tabs and the line breaks ``\\n``, ``\\r\\n``
-    and ``\\r``; the caller then walks the lines, which read every token
-    ``int`` reads and name the first bad one.
-    """
-    if not text.isascii() and any(c in text for c in _UNICODE_BREAKS):
-        return None
+    """Values (int64) of the tokens on data lines, and the token count of
+    each data line: the lines of ``str.splitlines`` with a ``str.split``
+    token, the first not starting with ``#``.  Tokens of at most 18 ASCII
+    digits are read in whole-array passes, any other by ``int`` alone: one
+    it cannot read is stored as ``_NOT_INT``, a value below -1 or above
+    ``_MAX_NODES`` as -1 or ``_MAX_NODES + 1``."""
+    # A byte per code point: "?" outside ASCII, a space or \v for a blank or break.
     b = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    if not text.isascii():
+        b = b.copy()
+        for k in np.flatnonzero(b == ord("?")).tolist():
+            if text[k].isspace():
+                b[k] = 11 if text[k] in "\x85\u2028\u2029" else 32
+    # word[k + 1]: byte k is part of a token; word[0] and word[-1] are False.
+    word = np.pad(b > 32, 1)
+    inner = word[1:-1]
+    # Of the control characters, \t and \x1f are blanks, \n, \v, \f, \r and
+    # \x1c-\x1e end a line (\r\n at its \n), and the rest are token bytes.
     ctrl = np.flatnonzero(b < 32)
     kind = b[ctrl]
-    if not ((kind == 9) | (kind == 10) | (kind == 13)).all():
-        return None
-    # \n, \r\n (at its \n) and a lone \r end a line.
-    after = b[np.minimum(ctrl + 1, b.size - 1)]
-    breaks = ctrl[(kind == 10) | ((kind == 13) & (after != 10))]
-    # word[k + 1]: byte k is part of a token; word[0] and word[-1] are False.
-    word = np.zeros(b.size + 2, dtype=bool)
-    np.greater(b, 32, out=word[1:-1])
-    starts = np.flatnonzero(word[1:-1] > word[:-2])
+    breaks = ctrl[((kind >= 10) & (kind <= 13) | (kind >= 28) & (kind <= 30))
+                  & ((kind != 13) | (b[np.minimum(ctrl + 1, b.size - 1)] != 10))]
+    inner[ctrl[(kind < 9) | (kind > 13) & (kind < 28)]] = True
+    starts = np.flatnonzero(inner > word[:-2])
+    # An odd token, which int reads, has a non-digit byte or 19+ digits.
+    odd = np.zeros(starts.size, dtype=bool)
+    notdigit = np.flatnonzero(((b - ord("0")) > 9) & inner)
+    odd[np.searchsorted(starts, notdigit, side="right") - 1] = True
     # Token index at the start of each line, then past the last token.
     bounds = np.searchsorted(starts, np.concatenate([[0], breaks + 1, [b.size]]))
     heads, counts = bounds[:-1], np.diff(bounds)
     heads, counts = heads[counts > 0], counts[counts > 0]
     comment = b[starts[heads]] == ord("#")
-    if np.count_nonzero((b - ord("0")) > 9) + np.count_nonzero(word) > b.size:
-        # Some token byte is not a digit (blanks and line breaks are counted
-        # on both sides): it must lie on a comment line.
-        odd = np.flatnonzero(((b - ord("0")) > 9) & word[1:-1])
-        if not comment[np.searchsorted(starts[heads], odd, side="right") - 1].all():
-            return None
     if comment.any():
-        starts = starts[np.repeat(~comment, counts)]
-        counts = counts[~comment]
+        keep = np.repeat(~comment, counts)
+        starts, odd, counts = starts[keep], odd[keep], counts[~comment]
     values = np.subtract(b[starts], ord("0"), dtype=np.int64)
-    live = np.flatnonzero(word[2:][starts])  # tokens with a second digit
+    live = np.flatnonzero(word[2:][starts] & ~odd)  # plain tokens with a second digit
     at = starts[live] + 1
-    width = 1
-    while live.size:
-        width += 1
-        if width > 18:
-            return None
+    for _ in range(17):  # digits 2 to 18
+        if not live.size:
+            break
         values[live] = values[live] * 10 + (b[at] - ord("0"))
         at += 1
         more = word[1:][at]
         live, at = live[more], at[more]
+    odd[live] = True
+    token = re.compile(r"\S+")  # \s is what str.isspace calls a blank or break
+    for t, s in zip(np.flatnonzero(odd).tolist(), starts[odd].tolist()):
+        try:
+            values[t] = min(max(int(token.match(text, s)[0]), -1), _MAX_NODES + 1)
+        except ValueError:
+            values[t] = _NOT_INT
     return values, counts
 
 
-def _parse_tokens(text, fmt):
-    """The network in ``text`` when :func:`_scan` reads every token and the
-    layout is valid, else None."""
-    if fmt not in (None, "matrix", "edges"):
-        return None
-    scanned = _scan(text)
-    if scanned is None or not scanned[0].size:
-        return None
-    values, counts = scanned
-    if fmt is None:
-        fmt = "matrix" if counts[0] == 1 else "edges"
-    if fmt == "edges":
-        if (counts != 2).any() or values.min() < 1:
-            return None
-        return Network.from_edges(int(values.max()), values.reshape(-1, 2) - 1,
-                                  require_connected=False)
-    n = int(values[0])
-    if (counts[0] != 1 or not 1 <= n == counts.size - 1 or (counts[1:] != n).any()
-            or values[1:].max() > 1):
-        return None
-    return Network(values[1:].reshape(n, n), require_connected=False)
+def _data_lines(text):
+    """File line and stripped text of each data line, to name a bad one."""
+    return [(k, ln) for k, ln in enumerate((ln.strip() for ln in text.splitlines()), 1)
+            if ln and not ln.startswith("#")]
 
 
-def _parse_matrix(lines):
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise GraphFormatError(f"expected node count on first line, got {lines[0]!r}") from None
-    if len(lines) - 1 != n:
-        raise GraphFormatError(f"expected {n} matrix rows, got {len(lines) - 1}")
-    rows = []
-    for k, ln in enumerate(lines[1:]):
-        toks = ln.split()
-        if len(toks) != n:
-            raise GraphFormatError(f"row {k + 1} has {len(toks)} entries, expected {n}")
-        try:
-            row = [int(t) for t in toks]
-        except ValueError:
-            raise GraphFormatError(f"row {k + 1} contains a non-integer entry") from None
-        if any(v not in (0, 1) for v in row):
-            raise GraphFormatError(f"row {k + 1} contains an entry outside {{0,1}}")
-        rows.append(row)
-    return Network(np.array(rows), require_connected=False)
+def _check_lines(text, skip, values, counts, width, low, high, faults):
+    """Raise ``faults[f]`` for the first data line past the first ``skip``
+    with a token count other than ``width`` (f = 0), a token int cannot read
+    (1) or a value outside ``low..high`` (2), formatted with its ``row``
+    among these lines, its file ``line`` and ``text`` and its ``count``."""
+    if ((counts == width).all() and low <= values.min(initial=low)
+            and values.max(initial=high) <= high):
+        return
+    first = np.cumsum(counts) - counts
+    not_int = np.logical_or.reduceat(values == _NOT_INT, first)
+    outside = np.logical_or.reduceat((values < low) | (values > high), first)
+    k = int(np.flatnonzero((counts != width) | outside)[0])
+    line, ln = _data_lines(text)[skip + k]
+    raise GraphFormatError(faults[0 if counts[k] != width else 1 if not_int[k] else 2].format(
+        row=k + 1, line=line, text=ln, count=counts[k], width=width))
 
 
-def _parse_edges(lines):
-    """Read ``(file line, text)`` pairs of an edge list."""
-    edges = []
-    maxid = 0
-    for k, ln in lines:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise GraphFormatError(f"edge line {k} must be 'i j', got {ln!r}")
-        try:
-            i, j = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise GraphFormatError(f"edge line {k} contains a non-integer id") from None
-        if i < 1 or j < 1:
-            raise GraphFormatError(f"edge line {k}: node ids are 1-indexed")
-        edges.append((i - 1, j - 1))
-        maxid = max(maxid, i, j)
-    return Network.from_edges(maxid, edges, require_connected=False)
+def _edges(text, values, counts, largest_component):
+    _check_lines(text, 0, values, counts, 2, 1, np.iinfo(np.int64).max, (
+        "edge line {line} must be 'i j', got {text!r}",
+        "edge line {line} contains a non-integer id", "edge line {line}: node ids are 1-indexed"))
+    i, j = values[0::2], values[1::2]
+    suspect = np.flatnonzero((i == j) | (np.maximum(i, j) > _MAX_NODES))
+    if suspect.size:
+        # A self-loop comes before an id over the limit; int's values over it
+        # are stored clamped, so these lines are read again.
+        lines = _data_lines(text)
+        ids = [tuple(map(int, lines[k][1].split())) for k in suspect.tolist()]
+        loop = next((i for i, j in ids if i == j), None)
+        raise GraphFormatError(f"self-loop on node {loop}" if loop is not None else
+                               f"{max(map(max, ids))} nodes exceed the {_MAX_NODES} a network "
+                               "can hold")
+    top = int(values.max())
+    # Only a list of top or more ids names all of 1..top: then count them.
+    if top <= values.size and np.bincount(values)[1:].all():
+        return Network.from_edges(top, values.reshape(-1, 2) - 1, require_connected=False)
+    ids, pairs = np.unique(values, return_inverse=True)
+    if not largest_component:
+        first = int(np.flatnonzero(ids != np.arange(1, ids.size + 1))[0]) + 1
+        raise GraphFormatError(
+            f"node {first} is on no edge ({top - ids.size} of nodes 1..{top} are on none)")
+    # Isolated nodes never make the largest component: build on the named ids.
+    return Network.from_edges(ids.size, pairs.reshape(-1, 2), require_connected=False)
 
 
-def load_network(path, fmt: str | None = None, *,
-                 require_connected: bool = True,
-                 largest_component: bool = False) -> Network:
+def load_network(path, fmt: str | None = None, *, largest_component: bool = False) -> Network:
     """Load a network file; see :func:`parse_network` for formats."""
     path = Path(path)
-    if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix in (".adj", ".mat", ".matrix"):
-            fmt = "matrix"
-        elif suffix in (".edges", ".edgelist", ".el"):
-            fmt = "edges"
-    return parse_network(path.read_text(), fmt,
-                         require_connected=require_connected,
-                         largest_component=largest_component)
+    fmt = fmt or {".adj": "matrix", ".mat": "matrix", ".matrix": "matrix", ".edges": "edges",
+                  ".edgelist": "edges", ".el": "edges"}.get(path.suffix.lower())
+    return parse_network(path.read_text(), fmt, largest_component=largest_component)
 
 
 def save_network(net: Network, path, fmt: str = "matrix") -> Path:

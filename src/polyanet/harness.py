@@ -414,8 +414,14 @@ def load_config_file(path):
     Returns ``(network_spec, run_settings, arms)`` where arms is a list of
     ``(name, overrides)`` pairs.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(str(path))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:  # one line in place of configparser's own
+        lineno, reason = getattr(exc, "lineno", None), str(exc).splitlines()[0].rsplit("]: ", 1)[-1]
+        if lineno is None:
+            lineno, reason = exc.errors[0][0], "neither a [section] header nor key = value"
+        raise ConfigError(f"{path}, line {lineno}: {reason}") from None
     if not read:
         raise FileNotFoundError(path)
     if not parser.has_section("network"):

@@ -1,5 +1,6 @@
 """Test-only helpers: permutation automorphisms of a network, the
 one-node-at-a-time greedy that :func:`polyanet.graph.target_set_dense`
+must match, the line-by-line parser that :func:`polyanet.graph.parse_network`
 must match, and a reader for the CSV that :func:`polyanet.harness.emit`
 writes."""
 
@@ -8,7 +9,8 @@ import math
 
 import numpy as np
 
-from polyanet.graph import Network, TargetSet, closeness_centrality
+from polyanet.graph import (DisconnectedGraphError, GraphFormatError, Network, TargetSet,
+                            closeness_centrality)
 from polyanet.harness import SummarySeries
 
 
@@ -92,6 +94,75 @@ def greedy_dense_targets(net: Network, prune: bool = False) -> TargetSet:
                 chosen.remove(i)
     source = "dense-pruned" if prune else "dense"
     return TargetSet(tuple(sorted(chosen)), source, insertion_order=tuple(chosen))
+
+
+def reference_parse(text: str, fmt: str | None = None, *,
+                    largest_component: bool = False) -> Network:
+    """Reference :func:`polyanet.graph.parse_network`: walk the stripped
+    lines of ``text`` and read every token with ``int``."""
+    lines = [(k, ln) for k, ln in enumerate((ln.strip() for ln in text.splitlines()), 1)
+             if ln and not ln.startswith("#")]
+    if not lines:
+        raise GraphFormatError("empty network file")
+    if fmt is None:
+        fmt = "matrix" if len(lines[0][1].split()) == 1 else "edges"
+    if fmt == "matrix":
+        net = _parse_matrix([ln for _, ln in lines])
+    elif fmt == "edges":
+        net = _parse_edges(lines)
+    else:
+        raise GraphFormatError(f"unknown network format {fmt!r}")
+    if largest_component and not net.is_connected():
+        keep = max(net._components, key=len)
+        label = np.full(net.node_count, -1)
+        label[keep] = np.arange(len(keep))
+        rows, cols = net._entries()
+        inside = (label[rows] >= 0) & (rows < cols)
+        net = Network.from_edges(len(keep), np.stack([label[rows[inside]], label[cols[inside]]], 1))
+    elif not net.is_connected():
+        raise DisconnectedGraphError(net._components)
+    return net
+
+
+def _parse_matrix(lines):
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise GraphFormatError(f"expected node count on first line, got {lines[0]!r}") from None
+    if len(lines) - 1 != n:
+        raise GraphFormatError(f"expected {n} matrix rows, got {len(lines) - 1}")
+    rows = []
+    for k, ln in enumerate(lines[1:]):
+        toks = ln.split()
+        if len(toks) != n:
+            raise GraphFormatError(f"row {k + 1} has {len(toks)} entries, expected {n}")
+        try:
+            row = [int(t) for t in toks]
+        except ValueError:
+            raise GraphFormatError(f"row {k + 1} contains a non-integer entry") from None
+        if any(v not in (0, 1) for v in row):
+            raise GraphFormatError(f"row {k + 1} contains an entry outside {{0,1}}")
+        rows.append(row)
+    return Network(np.array(rows), require_connected=False)
+
+
+def _parse_edges(lines):
+    """Read ``(file line, text)`` pairs of an edge list."""
+    edges = []
+    maxid = 0
+    for k, ln in lines:
+        toks = ln.split()
+        if len(toks) != 2:
+            raise GraphFormatError(f"edge line {k} must be 'i j', got {ln!r}")
+        try:
+            i, j = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise GraphFormatError(f"edge line {k} contains a non-integer id") from None
+        if i < 1 or j < 1:
+            raise GraphFormatError(f"edge line {k}: node ids are 1-indexed")
+        edges.append((i - 1, j - 1))
+        maxid = max(maxid, i, j)
+    return Network.from_edges(maxid, edges, require_connected=False)
 
 
 def parse_summary_csv(text: str) -> list[SummarySeries]:

@@ -9,6 +9,7 @@ import pytest
 
 import polyanet
 from polyanet.cli import main
+from polyanet import graph
 from polyanet.graph import load_network
 
 
@@ -395,3 +396,52 @@ def test_gen_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage error: {flag} ")
     assert not (tmp_path / "net.adj").exists()
+
+
+@pytest.mark.parametrize("edit, line, reason", [
+    (lambda text: "seed = 1\n" + text, 1, "File contains no section headers."),
+    (lambda text: text + "[run]\n", 18, "section 'run' already exists"),
+    (lambda text: text.replace("seed = 3", "seed = 3\nseed = 4"), 9,
+     "option 'seed' in section 'run' already exists"),
+    (lambda text: text.replace("seed = 3", "seed"), 8, "neither a [section] header nor key = value"),
+], ids=["no-section-header", "section-twice", "key-twice", "no-equals"])
+def test_unreadable_config_is_usage_error(p5_file, tmp_path, capsys, edit, line, reason):
+    """A config configparser cannot read exits 1 with one line naming the
+    file and the line."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(edit(CONFIG.format(net=p5_file)))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"usage error: {cfg}, line {line}: {reason}\n"
+
+
+def test_config_percent_is_literal(p5_file, tmp_path, capsys):
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(CONFIG.format(net=p5_file).replace("red_budget = 5", "red_budget = 5%(x)s"))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "usage error: cannot parse red_budget = '5%(x)s'\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "--nodes", "4000000000", "--m", "1", "--out", "never.adj"], "generate_barabasi_albert"),
+    (["inspect", "--net", "{p5}"], "_reach_levels"),
+], ids=["gen", "inspect-closeness"])
+def test_out_of_memory_exits_2(p5_file, monkeypatch, capsys, argv, name):
+    """Running out of memory exits 2 with one line naming the subcommand;
+    the allocation is made to fail, never made."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(graph, name, exhausted)
+    assert main([arg.format(p5=p5_file) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]} ran out of memory\n"
+
+
+@pytest.mark.parametrize("ids, message", [
+    ("2 99999999999999999999", "99999999999999999999 nodes exceed the 3037000499 a network can hold"),
+    ("2 3000000000", "node 3 is on no edge (2999999997 of nodes 1..3000000000 are on none)"),
+], ids=["beyond-int64", "gapped"])
+def test_edge_list_with_a_huge_id_exits_2(tmp_path, capsys, ids, message):
+    path = tmp_path / "huge.edges"
+    path.write_text(f"1 2\n{ids}\n")
+    assert main(["inspect", "--net", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -5,8 +5,9 @@ several steps at a time, runs blocks on threads and may split trials
 across worker processes; its per-trial means must equal, bit for bit,
 those of a loop that runs one :class:`UrnState` per trial on that trial's
 own stream, one call per step.
-Networks survive a save and parse in either file format, and the graph
-layer's array code agrees with the definitions it implements.  The
+Networks survive a save and parse in either file format, the array parse
+of any text agrees with a line-by-line one, and the graph layer's array
+code agrees with the definitions it implements.  The
 exposure integral must equal the enumeration of every closed
 neighbourhood's joint draws, and its colour swap must equal one minus it.  Swapping the colours and mirroring the
 uniforms must flip every draw.  The simplex descent must converge and
@@ -27,15 +28,15 @@ from hypothesis import strategies as st
 
 import polyanet.harness as harness
 from polyanet.engine import UrnState, iter_draws
-from polyanet.graph import (Network, load_network, outer_nodes, parse_network, save_network,
-                            target_set_dense)
+from polyanet.graph import (DisconnectedGraphError, GraphFormatError, Network, load_network,
+                            outer_nodes, parse_network, save_network, target_set_dense)
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
 from polyanet.oracle import ExposureObjective, infection_rate_time1
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 from conftest import strict_draws
-from support import greedy_dense_targets
+from support import greedy_dense_targets, reference_parse
 
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=6, database=None)
 DESCENT = 5  # in-loop optimizer iterations of family i
@@ -143,6 +144,94 @@ def test_saved_network_parses_back(fmt, net, data):
     eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     back = parse_network(eol.join(lines) + eol, fmt)
     assert (back.indptr.tolist(), back.indices.tolist()) == want
+
+
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BLANKS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+# Tokens no saved network holds: an id below 1, an entry outside {0,1}, a
+# non-integer, an id over the node limit and one beyond int64.
+WILD = ["0", "-1", "2", "x", "1.0", "#", "3037000500", "99999999999999999999",
+        "-99999999999999999999"]
+ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def network_texts(draw):
+    """A saved network and the format to parse it as: its ids shifted now
+    and then (leaving ids on no edge), its tokens respelled as ``int`` still
+    reads them or swapped for wild ones, a line's tokens dropped, added or
+    made a self-loop, comment and blank lines put in, and every blank and
+    line break drawn from those of ``str.split`` and ``str.splitlines``."""
+    net = draw(networks(max_nodes=7, connected=False))
+    written = draw(st.sampled_from(["matrix", "edges"]))
+    fmt = draw(st.sampled_from([None, None, written, "edges" if written == "matrix" else "matrix"]))
+    if written == "matrix":
+        rows = [[str(net.node_count)]] + [["1" if v else "0" for v in row] for row in net.adjacency]
+    else:
+        shift = draw(st.sampled_from([0, 0, 1]))
+        rows = [[str(i + 1 + shift), str(j + 1 + shift)] for i, j in net.edges()]
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "#", "# 1 x", " \t#2", "#\u20281 2", *BLANKS]),
+                               max_size=1))
+        toks = []
+        for tok in row:
+            spellings = [tok, f"+{tok}", "0" * 19 + tok, f"0_{tok}", tok.translate(ARABIC)]
+            kind = draw(st.integers(0, 59))
+            toks.append(draw(st.sampled_from(WILD)) if kind == 0 else
+                        draw(st.sampled_from(spellings)) if kind < 16 else tok)
+        edit = draw(st.integers(0, 39))
+        if edit == 0:
+            toks = toks[:-1]
+        elif edit == 1:
+            toks.append(draw(st.sampled_from(["0", "1"])))
+        elif edit == 2:
+            toks = toks[:1] * 2
+        gaps = [draw(st.sampled_from(["", " "] if k == 0 else BLANKS)) for k in range(len(toks))]
+        lines.append("".join(g + t for g, t in zip(gaps, toks)) + draw(st.sampled_from(["", "\t"])))
+    ends = [draw(st.sampled_from(BREAKS)) for _ in lines[:-1]] + [draw(st.sampled_from(BREAKS + [""]))]
+    return "".join(line + end for line, end in zip(lines, ends)), fmt
+
+
+def parse_outcome(parse, text, fmt, largest_component):
+    try:
+        net = parse(text, fmt, largest_component=largest_component)
+    except DisconnectedGraphError as exc:
+        return "disconnected", str(exc), exc.components
+    except GraphFormatError as exc:
+        return "format", str(exc)
+    except OverflowError:
+        return ("overflow",)
+    return "network", net.indptr.tolist(), net.indices.tolist()
+
+
+@settings(CONTRACT, max_examples=400)
+@given(case=network_texts())
+def test_parse_agrees_with_line_walk(case):
+    """``parse_network`` returns the network, or raises the error, that the
+    line-by-line reference does, with two fixes.  An id beyond int64, which
+    the reference cannot store, reads as the first self-loop or, without
+    one, as the largest id over the node limit.  An edge list that leaves
+    an id up to its largest on no edge is rejected for it, and not as a
+    network with isolated nodes; ``largest_component`` keeps it as before."""
+    text, fmt = case
+    data = [line.split() for line in text.splitlines() if line.strip()
+            and not line.strip().startswith("#")]
+    for largest in (False, True):
+        want = parse_outcome(reference_parse, text, fmt, largest)
+        if want == ("overflow",):
+            ids = [tuple(map(int, line)) for line in data]
+            loop = next((i for i, j in ids if i == j), None)
+            want = "format", (f"self-loop on node {loop}" if loop is not None else
+                              f"{max(map(max, ids))} nodes exceed the 3037000499 a network can hold")
+        elif want[0] == "disconnected" and not largest and (
+                fmt == "edges" or fmt is None and len(data[0]) != 1):
+            named = {int(t) for line in data for t in line}
+            missing = [v for v in range(1, max(named) + 1) if v not in named]
+            if missing:
+                want = "format", (f"node {missing[0]} is on no edge ({len(missing)} of nodes "
+                                  f"1..{max(named)} are on none)")
+        assert parse_outcome(parse_network, text, fmt, largest) == want, (text, fmt, largest)
 
 
 @settings(CONTRACT, max_examples=80)

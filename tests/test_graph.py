@@ -103,12 +103,19 @@ def test_edge_list_errors_name_the_file_line():
 
 def test_scan_reads_line_breaks_comments_and_widths():
     """The array scan ends lines at \\n, \\r\\n and a lone \\r, drops comment
-    lines, reads up to 18 digits and leaves anything else to the line walk."""
+    lines, reads up to 18 digits together and leaves anything else to ``int``."""
     values, counts = graph._scan("# c 1\r\n1 2\r02  3 \n\n\t#x 5\r\n10 123456789012345678\r")
     assert values.tolist() == [1, 2, 2, 3, 10, 123456789012345678]
     assert counts.tolist() == [2, 2, 2]
-    for text in ("1 1234567890123456789\n", "1 2\x0b3 4\n", "1 2 #\n", "1 -2\n", "1 2\u20283 4\n"):
-        assert graph._scan(text) is None, repr(text)
+    assert _message(parse_network, "1 1234567890123456789\n") == (
+        "1234567890123456789 nodes exceed the 3037000499 a network can hold")
+    for text in ("1 2\x0b3 4\n", "1 2\u20283 4\n", "1\x1f2\n3\xa04\n"):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            parse_network(text)
+        assert exc.value.components == [[0, 1], [2, 3]], repr(text)
+    assert _message(parse_network, "1 2 #\n") == "edge line 1 must be 'i j', got '1 2 #'"
+    assert _message(parse_network, "1 -2\n") == "edge line 1: node ids are 1-indexed"
+    assert _message(parse_network, "0\n") == "adjacency matrix must be square, got shape (0,)"
 
 
 def test_tokens_int_reads_parse_as_plain_digits():
@@ -124,6 +131,27 @@ def test_tokens_int_reads_parse_as_plain_digits():
     p3 = parse_network(P3_MATRIX)
     net = parse_network("3\n0 01 0\n1 0 +1\n0 1 0\n")
     assert net.indices.tolist() == p3.indices.tolist()
+
+
+def test_edge_list_is_sized_by_the_ids_it_names():
+    """An edge list that leaves ids on no edge is rejected, naming the
+    first and how many, or kept whole by ``largest_component``; neither
+    builds anything the size of its largest id."""
+    text = "1 2\n2 3000000000\n"
+    tracemalloc.start()
+    try:
+        message = _message(parse_network, text)
+        net = parse_network(text, largest_component=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == "node 3 is on no edge (2999999997 of nodes 1..3000000000 are on none)"
+    assert net.edges() == [(0, 1), (1, 2)]
+    assert peak < 10 * 2**20
+    assert _message(parse_network, "1 2\n2 99999999999999999999\n") == (
+        "99999999999999999999 nodes exceed the 3037000499 a network can hold")
+    assert _message(parse_network, "1 2\n+99999999999999999999 99999999999999999999\n") == (
+        "self-loop on node 99999999999999999999")
 
 
 def test_parse_rejects_bad_rows():
