@@ -79,12 +79,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("matrix", "edges"), default="matrix")
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("inspect", help="inner/outer nodes, centralities, target sets")
     p.add_argument("--net", required=True)
     p.add_argument("--largest-component", action="store_true",
                    help="keep the largest component of a disconnected input")
     p.add_argument("--out")
+    p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("exact", help="exact infection rate / expected exposure oracles")
     p.add_argument("--net", required=True)
@@ -99,13 +101,14 @@ def build_parser() -> _Parser:
     p.add_argument("--x", help="curing step for --exposure")
     p.add_argument("--y", help="infection step for --exposure")
     p.add_argument("--out")
+    p.set_defaults(func=_cmd_exact)
 
     for name, vary in (("init-run", "init"), ("cure-run", "cure")):
         p = sub.add_parser(name, help=f"run {vary}-strategy experiment arms from a config file")
         p.add_argument("--config", required=True)
         p.add_argument("--arm", help="run only the named arm")
         _add_run_flags(p)
-        p.set_defaults(independent=False)
+        p.set_defaults(func=_cmd_run, independent=False)
 
     p = sub.add_parser("game", help="solve the curing/infection game on expected exposure")
     p.add_argument("--net", required=True)
@@ -116,13 +119,14 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out")
+    p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("compare", help="run all arms of a config with shared randomness")
     p.add_argument("--config", required=True)
     p.add_argument("--independent", action="store_true",
                    help="independent streams per arm instead of common random numbers")
     _add_run_flags(p)
-    p.set_defaults(arm=None)
+    p.set_defaults(func=_cmd_run, arm=None)
     return parser
 
 
@@ -259,17 +263,6 @@ def _cmd_game(args):
                          f">= tol {args.tol:g} after {solution.rounds} rounds)\n")
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "inspect": _cmd_inspect,
-    "exact": _cmd_exact,
-    "init-run": _cmd_run,
-    "cure-run": _cmd_run,
-    "game": _cmd_game,
-    "compare": _cmd_run,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -279,7 +272,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _COMMANDS[args.command](args)
+        args.func(args)
     except (UsageError, harness.ConfigError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

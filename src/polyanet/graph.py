@@ -356,24 +356,26 @@ def _edges(text, values, counts, largest_component):
         raise GraphFormatError(f"self-loop on node {loop}" if loop is not None else
                                f"{max(map(max, ids))} nodes exceed the {_MAX_NODES} a network "
                                "can hold")
-    top = int(values.max())
-    # Only a list of top or more ids names all of 1..top: then count them.
-    if top <= values.size and np.bincount(values)[1:].all():
-        return Network.from_edges(top, values.reshape(-1, 2) - 1, require_connected=False)
     ids, pairs = np.unique(values, return_inverse=True)
-    if not largest_component:
+    top = int(ids[-1])
+    if ids.size < top and not largest_component:
         first = int(np.flatnonzero(ids != np.arange(1, ids.size + 1))[0]) + 1
         raise GraphFormatError(
             f"node {first} is on no edge ({top - ids.size} of nodes 1..{top} are on none)")
-    # Isolated nodes never make the largest component: build on the named ids.
+    # Build on the named ids: all of 1..top, or under largest_component the
+    # ids off the isolated nodes, which never make the largest component.
     return Network.from_edges(ids.size, pairs.reshape(-1, 2), require_connected=False)
+
+
+_SUFFIX_FORMATS = {".adj": "matrix", ".mat": "matrix", ".matrix": "matrix",
+                   ".edges": "edges", ".edgelist": "edges", ".el": "edges"}
 
 
 def load_network(path, fmt: str | None = None, *, largest_component: bool = False) -> Network:
     """Load a network file; see :func:`parse_network` for formats."""
     path = Path(path)
-    fmt = fmt or {".adj": "matrix", ".mat": "matrix", ".matrix": "matrix", ".edges": "edges",
-                  ".edgelist": "edges", ".el": "edges"}.get(path.suffix.lower())
+    if fmt is None:
+        fmt = _SUFFIX_FORMATS.get(path.suffix.lower())
     return parse_network(path.read_text(), fmt, largest_component=largest_component)
 
 
@@ -518,9 +520,7 @@ def outer_nodes(net: Network) -> np.ndarray:
 
 
 def inner_nodes(net: Network) -> np.ndarray:
-    inner = np.ones(net.node_count, dtype=bool)
-    inner[outer_nodes(net)] = False
-    return np.flatnonzero(inner)
+    return np.setdiff1d(np.arange(net.node_count), outer_nodes(net))
 
 
 def _reach_levels(net: Network):

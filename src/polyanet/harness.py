@@ -418,10 +418,7 @@ def load_config_file(path):
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:  # one line in place of configparser's own
-        lineno, reason = getattr(exc, "lineno", None), str(exc).splitlines()[0].rsplit("]: ", 1)[-1]
-        if lineno is None:
-            lineno, reason = exc.errors[0][0], "neither a [section] header nor key = value"
-        raise ConfigError(f"{path}, line {lineno}: {reason}") from None
+        raise ConfigError(_config_error(path, exc)) from None
     if not read:
         raise FileNotFoundError(path)
     if not parser.has_section("network"):
@@ -433,6 +430,19 @@ def load_config_file(path):
         if section.startswith("arm:"):
             arms.append((section[4:], _coerce(dict(parser.items(section)))))
     return network_spec, run, arms
+
+
+def _config_error(path, exc: configparser.Error) -> str:
+    """Name the file, the line where configparser gives one, and the fault."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}, line {exc.lineno}: key {exc.option!r} given twice in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{path}, line {exc.lineno}: section [{exc.section}] given twice"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}, line {exc.lineno}: no [section] header above this line"
+    if isinstance(exc, configparser.ParsingError):
+        return f"{path}, line {exc.errors[0][0]}: neither a [section] header nor key = value"
+    return f"{path}: {str(exc).splitlines()[0]}"
 
 
 def _coerce(raw: dict) -> dict:
@@ -474,12 +484,9 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
             if key not in merged:
                 raise ConfigError(f"missing key {key!r} in arm {name!r}")
         merged.setdefault("label", name)
-        strategy = merged.pop("init", None)
-        if strategy is not None:
-            merged["init_strategy"] = strategy
-        strategy = merged.pop("cure", None)
-        if strategy is not None:
-            merged["cure_strategy"] = strategy
+        for alias in ("init", "cure"):
+            if (strategy := merged.pop(alias, None)) is not None:
+                merged[f"{alias}_strategy"] = strategy
         try:
             configs.append(ExperimentConfig(**merged).validate())
         except ValueError as exc:

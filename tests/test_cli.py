@@ -399,10 +399,10 @@ def test_gen_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("edit, line, reason", [
-    (lambda text: "seed = 1\n" + text, 1, "File contains no section headers."),
-    (lambda text: text + "[run]\n", 18, "section 'run' already exists"),
+    (lambda text: "seed = 1\n" + text, 1, "no [section] header above this line"),
+    (lambda text: text + "[run]\n", 18, "section [run] given twice"),
     (lambda text: text.replace("seed = 3", "seed = 3\nseed = 4"), 9,
-     "option 'seed' in section 'run' already exists"),
+     "key 'seed' given twice in [run]"),
     (lambda text: text.replace("seed = 3", "seed"), 8, "neither a [section] header nor key = value"),
 ], ids=["no-section-header", "section-twice", "key-twice", "no-equals"])
 def test_unreadable_config_is_usage_error(p5_file, tmp_path, capsys, edit, line, reason):

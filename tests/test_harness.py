@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import json
 import sys
@@ -374,6 +375,18 @@ def test_config_file_requires_network(tmp_path):
     path.write_text("[run]\nsteps = 1\n")
     with pytest.raises(ValueError, match="network"):
         load_config_file(path)
+
+
+def test_config_error_without_a_line_names_the_file(tmp_path, monkeypatch):
+    """A configparser error that carries no line still becomes one
+    ConfigError line naming the file."""
+    def fails(self, filenames, encoding=None):
+        raise configparser.Error("cannot read\nsecond line")
+
+    monkeypatch.setattr(configparser.ConfigParser, "read", fails)
+    with pytest.raises(harness.ConfigError) as exc:
+        load_config_file(tmp_path / "x.ini")
+    assert str(exc.value) == f"{tmp_path / 'x.ini'}: cannot read"
 
 
 def test_trial_generator_streams_are_distinct():
