@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph, harness, optimize
 from .engine import UrnState
-from .oracle import average_infection_rate, expected_exposure
+from .oracle import DEFAULT_ENUMERATION_CAP, average_infection_rate, expected_exposure
 
 
 class UsageError(Exception):
@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=1, help="time index for the infection rate")
     p.add_argument("--delta", type=float, default=0.0,
                    help="constant reinforcement per node, both colours")
-    p.add_argument("--cap", type=int, default=24, help="enumeration cap in bits")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap in bits")
     p.add_argument("--exposure", action="store_true",
                    help="also report one-step expected exposure for --x/--y")
     p.add_argument("--x", help="curing step for --exposure")

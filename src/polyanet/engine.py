@@ -86,8 +86,10 @@ class UrnState:
         dup.super_red, dup.super_total = super_red, super_total
         return dup
 
-    def copy(self) -> "UrnState":
-        return self._select(self._masses.copy(), self.super_red.copy(), self.super_total.copy())
+    def copy(self, rows=slice(None)) -> "UrnState":
+        """An independent copy: of every trial, or of the batch rows ``rows`` picks."""
+        return self._select(self._masses[:, rows].copy(), self.super_red[rows].copy(),
+                            self.super_total[rows].copy())
 
     def rows(self) -> list:
         """One-trial states viewing each row of a batch (``[self]`` for one

@@ -84,16 +84,18 @@ class Network:
             rows, cols = np.nonzero(adjacency) if adjacency.ndim == 2 else ((), ())
         if len(shape) != 2 or shape[0] != shape[1]:
             raise GraphFormatError(f"adjacency matrix must be square, got shape {shape}")
-        if shape[0] == 0:
-            raise GraphFormatError("network must have at least one node")
         self._store(shape[0], rows, cols, require_connected)
 
     @classmethod
     def from_edges(cls, node_count: int, edges, require_connected: bool = True) -> "Network":
         """Build a network from 0-indexed ``(i, j)`` pairs: an iterable of
         pairs or an ``(E, 2)`` integer array."""
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                           dtype=np.int64).reshape(-1, 2)
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            i, j = next(p for p in edges if not all(-2**63 <= v < 2**63 for v in p))
+            raise GraphFormatError(f"edge ({i + 1},{j + 1}) holds an id beyond int64") from None
         i, j = pairs[:, 0], pairs[:, 1]
         bad = (i == j) | (i < 0) | (i >= node_count) | (j < 0) | (j >= node_count)
         if bad.any():
@@ -111,6 +113,8 @@ class Network:
         """Check the nonzero pairs ``(rows, cols)`` of an adjacency matrix and
         store its closed adjacency.  ``symmetric`` skips the symmetry check,
         for pairs that list every edge both ways."""
+        if n < 1:
+            raise GraphFormatError("network must have at least one node")
         loops = rows[rows == cols]
         if loops.size:
             raise GraphFormatError(
@@ -242,8 +246,7 @@ def parse_network(text: str, fmt: str | None = None, *,
             "row {row} has {count} entries, expected {width}",
             "row {row} contains a non-integer entry",
             "row {row} contains an entry outside {{0,1}}"))
-        # No rows read as a 1-D array, as np.array([]) does.
-        net = Network(values[1:].reshape(n, n) if n else values[1:], require_connected=False)
+        net = Network(values[1:].reshape(n, n), require_connected=False)
     elif fmt == "edges":
         net = _edges(text, values, counts, largest_component)
     else:
@@ -610,9 +613,6 @@ class TargetSet:
 
     def __len__(self):
         return len(self.nodes)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.nodes, dtype=int)
 
 
 def target_set_all(net: Network) -> TargetSet:

@@ -341,8 +341,6 @@ def run_arms(net: Network, configs, *, independent: bool = False,
     """Run one arm per config.  Arms share the per-trial streams (common
     random numbers), so differences are strategy-driven, unless
     ``independent`` gives arm ``k`` the stream offset ``k``."""
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     return ComparisonResult([run_experiment(net, cfg, n_jobs=n_jobs, arm=k if independent else 0)
                              for k, cfg in enumerate(configs)])
 

@@ -127,7 +127,7 @@ def init_allocation(spec: StrategySpec, net: Network, red_init, budget: float) -
             log.warning("strategy %s: descent not converged, gap %.3g after %d iterations",
                         spec, res.gap, res.iterations)
         return res.allocation
-    targets = target_set_for(net, spec.family).as_array()
+    targets = np.array(target_set_for(net, spec.family).nodes, dtype=int)
     weights = _static_weights(net, targets, spec.family)
     return _spread(net, targets, weights, budget, spec.family)
 
@@ -164,7 +164,7 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
             return np.reshape([r.allocation for r in results], state.red.shape)
         return optimize_policy
 
-    targets = target_set_for(net, spec.family).as_array()
+    targets = np.array(target_set_for(net, spec.family).nodes, dtype=int)
     static = _static_weights(net, targets, spec.family)
     weighted = spec.family in _WEIGHTED
 

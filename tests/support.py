@@ -143,7 +143,7 @@ def _parse_matrix(lines):
         if any(v not in (0, 1) for v in row):
             raise GraphFormatError(f"row {k + 1} contains an entry outside {{0,1}}")
         rows.append(row)
-    return Network(np.array(rows), require_connected=False)
+    return Network(np.array(rows, dtype=int).reshape(n, n), require_connected=False)
 
 
 def _parse_edges(lines):
@@ -162,7 +162,8 @@ def _parse_edges(lines):
             raise GraphFormatError(f"edge line {k}: node ids are 1-indexed")
         edges.append((i - 1, j - 1))
         maxid = max(maxid, i, j)
-    return Network.from_edges(maxid, edges, require_connected=False)
+    # int64 ids, as the library stores them: an id beyond raises OverflowError.
+    return Network.from_edges(maxid, np.array(edges, dtype=np.int64), require_connected=False)
 
 
 def parse_summary_csv(text: str) -> list[SummarySeries]:

@@ -100,6 +100,16 @@ def test_exact_prints_infection_rate(p3_file, capsys):
     assert f"{payload['infection_rate']:.6f}".startswith("0.644444")
 
 
+def test_exact_enumerates_sixteen_bits(tmp_path, capsys):
+    """P4 at time 5 enumerates 2^16 histories and prints the library's value."""
+    path = tmp_path / "p4.adj"
+    path.write_text("4\n0 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 0\n")
+    assert main(["exact", "--net", str(path), "--red", "1,2,1,0.5",
+                 "--black", "uniform:1", "--delta", "1", "--n", "5"]) == 0
+    rate = polyanet.average_infection_rate(load_network(path), [1, 2, 1, 0.5], 1.0, (1.0, 1.0), 5)
+    assert json.loads(capsys.readouterr().out) == {"n": 5, "infection_rate": rate}
+
+
 def test_exact_exposure_needs_vectors(p3_file, capsys):
     assert main(["exact", "--net", str(p3_file), "--red", "uniform:1",
                  "--black", "uniform:1", "--exposure"]) == 1

@@ -7,7 +7,9 @@ those of a loop that runs one :class:`UrnState` per trial on that trial's
 own stream, one call per step.
 Networks survive a save and parse in either file format, the array parse
 of any text agrees with a line-by-line one, and the graph layer's array
-code agrees with the definitions it implements.  The
+code agrees with the definitions it implements.  The history enumerator
+must yield exactly the histories of positive one-history probability, in
+lexicographic order and with that probability, whatever the batch size.  The
 exposure integral must equal the enumeration of every closed
 neighbourhood's joint draws, and its colour swap must equal one minus it.  Swapping the colours and mirroring the
 uniforms must flip every draw.  The simplex descent must converge and
@@ -27,12 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyanet.harness as harness
+import polyanet.oracle as oracle
 from polyanet.engine import UrnState, iter_draws
 from polyanet.graph import (DisconnectedGraphError, GraphFormatError, Network, load_network,
                             outer_nodes, parse_network, save_network, target_set_dense)
 from polyanet.harness import ExperimentConfig, resolve_initialization, run_experiment, trial_generator
 from polyanet.optimize import DescentConfig, optimize_cure_step, optimize_init
-from polyanet.oracle import ExposureObjective, infection_rate_time1
+from polyanet.oracle import (ExposureObjective, infection_rate_time1, iter_path_probabilities,
+                             joint_probability)
 from polyanet.policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 from conftest import strict_draws
@@ -348,6 +352,51 @@ def test_mirrored_exposure_swaps_the_colours(net, data):
     m_value, m_grad_y, m_grad_x = mirror.value_and_gradients(y, x)
     assert m_value == mirror.value(y, x)
     assert (m_grad_y == -grad_y).all() and (m_grad_x == -grad_x).all()
+
+
+@st.composite
+def enumerations(draw):
+    """A network of 1 to 4 nodes, masses with zeros (so that some draws
+    cannot happen), a step count with nodes x steps <= 12, and a constant,
+    per-node or state-dependent schedule."""
+    net = draw(st.one_of(st.just(Network.from_edges(1, [])), networks(max_nodes=4)))
+    n = net.node_count
+    mass = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+    red, black = per_node(draw, n, mass), per_node(draw, n, mass)
+    black[red + black == 0] = 1.0
+    step = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+    kind = draw(st.sampled_from(["constant", "per-node", "state"]))
+    if kind == "constant":
+        schedule = (draw(step), draw(step))
+    elif kind == "per-node":
+        schedule = (per_node(draw, n, step), per_node(draw, n, step))
+    else:
+        a, b = per_node(draw, n, step), per_node(draw, n, step)
+        schedule = lambda t, state: (a * state.exposure + 0.1 * t, b * (1.0 - state.exposure))
+    return net, red, black, schedule, draw(st.integers(0, 12 // n))
+
+
+@settings(CONTRACT, max_examples=30)
+@given(case=enumerations())
+def test_enumeration_matches_joint_probability(case):
+    """The batched walk yields the histories that replaying one at a time
+    gives positive probability, in lexicographic order (time major, node 0
+    first), each with that probability bit for bit, whatever the batch: one
+    cell walks a pair at a time, seven split levels inside a parent's
+    patterns, and the default holds a whole level."""
+    net, red, black, schedule, steps = case
+    n = net.node_count
+    want = []
+    for bits in itertools.product((0, 1), repeat=n * steps):
+        history = np.reshape(bits, (steps, n)).T
+        p = joint_probability(net, red, black, schedule, history)
+        if p > 0:
+            want.append((history.tolist(), p))
+    for cells in (1, 7, oracle._BLOCK_CELLS):
+        with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
+            got = [(p.history.tolist(), p.probability)
+                   for p in iter_path_probabilities(net, red, black, schedule, steps)]
+        assert got == want, cells
 
 
 def test_exposure_integral_matches_enumeration_with_one_colour_super_urns():

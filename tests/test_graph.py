@@ -86,6 +86,24 @@ def test_parse_rejects_self_loop():
     assert _message(Network.from_edges, 4, [(0, 1), (3, 3), (1, 1)]) == "self-loop on node 4"
 
 
+def test_networks_need_a_node():
+    """No nodes, as a count or as a matrix file, is a format error."""
+    for count in (0, -1):
+        assert _message(Network.from_edges, count, []) == "network must have at least one node"
+    assert _message(parse_network, "0\n") == "network must have at least one node"
+    assert _message(parse_network, "# none\n0\n", "matrix") == (
+        "network must have at least one node")
+
+
+def test_from_edges_names_a_pair_beyond_int64():
+    """Python ints that int64 cannot hold name their pair, 1-indexed, from a
+    list or a generator."""
+    assert _message(Network.from_edges, 3, [(0, 1), (0, 10**20), (2**64, 1)]) == (
+        "edge (1,100000000000000000001) holds an id beyond int64")
+    assert _message(Network.from_edges, 3, ((i, j) for i, j in [(0, 1), (-2**63 - 1, 2)])) == (
+        "edge (-9223372036854775808,3) holds an id beyond int64")
+
+
 def test_edge_list_errors_name_the_file_line():
     """Comment and blank lines count, after any line break; the first bad
     line is named."""
