@@ -130,37 +130,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_NETWORK_KEYS = ("file", "ba_nodes", "ba_m", "ba_seed")
-
-
-def _load_config_network(spec: dict) -> graph.Network:
-    for key in spec:
-        if key not in _NETWORK_KEYS:
-            raise UsageError(f"unknown key {key!r} in [network]; expected one of {_NETWORK_KEYS}")
-    if "file" in spec:
-        return graph.load_network(spec["file"])
-    if "ba_nodes" in spec:
-        nodes = _network_int(spec, "ba_nodes", None)
-        m = _network_int(spec, "ba_m", 1)
-        seed = _network_int(spec, "ba_seed", 0)
-        if m < 1:
-            raise UsageError(f"ba_m must be at least 1, got {m} in [network]")
-        if m >= nodes:
-            raise UsageError(f"ba_m must be below ba_nodes = {nodes}, got {m} in [network]")
-        return graph.generate_barabasi_albert(nodes, m, seed)
-    raise UsageError("[network] section needs 'file' or 'ba_nodes'")
-
-
-def _network_int(spec: dict, key: str, default):
-    try:
-        value = int(spec.get(key, default))
-    except ValueError:
-        raise UsageError(f"cannot parse {key} = {spec[key]!r} in [network]") from None
-    if value < 0:
-        raise UsageError(f"{key} must be nonnegative, got {value} in [network]")
-    return value
-
-
 def _cmd_gen(args):
     if args.m < 1:
         raise UsageError(f"--m must be at least 1, got {args.m}")
@@ -224,14 +193,11 @@ def _cmd_run(args):
     ``--independent`` gives arm ``k`` the stream offset ``k``."""
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    net_spec, run, arms = harness.load_config_file(args.config)
-    if not arms:
-        raise UsageError(f"{args.config} has no [arm:NAME] section; add one per strategy arm")
+    net, run, arms = harness.load_config_file(args.config)
     if args.arm is not None:
         arms = [a for a in arms if a[0] == args.arm]
         if not arms:
             raise UsageError(f"no arm named {args.arm!r} in {args.config}")
-    net = _load_config_network(net_spec)
     configs = harness.build_configs(run, arms, seed=args.seed,
                                     trials=args.trials, steps=args.steps)
     arms_run = harness.run_arms(net, configs, independent=args.independent, n_jobs=args.jobs)

@@ -21,6 +21,11 @@ import numpy as np
 
 from .graph import Network
 
+# Cells (rows x nodes) of one batched state in a harness trial block or an
+# exact enumerator's chunk: bounds its working set to a few MB whatever the
+# network size.
+_BLOCK_CELLS = 1 << 16
+
 
 def as_schedule(schedule):
     """Normalize a reinforcement schedule to a callable ``(t, state) -> (dr, db)``.

@@ -89,13 +89,14 @@ class Network:
     @classmethod
     def from_edges(cls, node_count: int, edges, require_connected: bool = True) -> "Network":
         """Build a network from 0-indexed ``(i, j)`` pairs: an iterable of
-        pairs or an ``(E, 2)`` integer array."""
+        pairs or an ``(E, 2)`` integer array.  Any other input is checked
+        pair by pair for ids that are integers int64 can hold."""
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        try:
-            pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            i, j = next(p for p in edges if not all(-2**63 <= v < 2**63 for v in p))
-            raise GraphFormatError(f"edge ({i + 1},{j + 1}) holds an id beyond int64") from None
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+            for i, j in edges:
+                if fault := _id_fault(i) or _id_fault(j):
+                    raise GraphFormatError(f"edge ({i + 1},{j + 1}) holds {fault}")
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         i, j = pairs[:, 0], pairs[:, 1]
         bad = (i == j) | (i < 0) | (i >= node_count) | (j < 0) | (j >= node_count)
         if bad.any():
@@ -189,6 +190,17 @@ class Network:
 
     def __repr__(self):
         return f"Network(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _id_fault(v) -> str | None:
+    """Why ``v`` is no node id int64 can hold, or None."""
+    try:
+        integral = v == int(v)
+    except (ValueError, OverflowError):  # NaN, infinity
+        integral = False
+    if not integral:
+        return "an id that is not an integer"
+    return None if -2**63 <= v < 2**63 else "an id beyond int64"
 
 
 def _components(net):

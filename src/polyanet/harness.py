@@ -12,9 +12,12 @@ threads, one per available CPU (capped by a cgroup v2 CPU quota) shared
 among the ``n_jobs`` worker processes that trials may be split across
 (except where the curing runs the optimizer, whose Python-bound descents
 run slower on threads), and every split aggregates to byte-identical
-results.  Under common random
-numbers every arm uses arm offset 0 and trials are pathwise paired across
-arms.
+results.  Under common random numbers every arm uses arm offset 0 and
+trials are pathwise paired across arms.
+
+A config is checked whole where it is made, by :func:`load_config_file` and
+at :class:`ExperimentConfig` construction, so every config that exists can
+run; a run whose masses leave the float range stops with an error.
 """
 
 from __future__ import annotations
@@ -29,16 +32,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import UrnState, iter_draws
-from .graph import Network
+from .engine import _BLOCK_CELLS, UrnState, iter_draws
+from .graph import Network, generate_barabasi_albert, load_network
 from .optimize import DescentConfig
 from .policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
 _MASK64 = (1 << 64) - 1
 _ARM_SHIFT = 40  # trial index occupies the low 40 bits of the stream key
-# Cells (trials x nodes) stepped together: bounds a block's working set to a
-# few MB whatever the network size.
-_BLOCK_CELLS = 1 << 16
+_MAX_DOUBLES = np.iinfo(np.intp).max // 8  # the most one array can hold
 _CHUNK_STEPS = 4  # steps drawn per stream call; buffers 4 * _BLOCK_CELLS doubles
 _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota of this process's cgroup
 
@@ -49,10 +50,10 @@ def trial_generator(master_seed: int, trial: int, arm: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment arm: how to initialize the urns and how to reinforce
-    them at every step.
+    """One runnable experiment arm: how to initialize the urns and how to
+    reinforce them at every step.
 
     Initialization: red mass is ``red_values`` if given, else uniform
     ``red_budget / N`` per node.  Black mass is ``black_values`` if given,
@@ -62,8 +63,13 @@ class ExperimentConfig:
     Per-step reinforcement: ``delta`` fixes both colours to a constant per
     node.  Otherwise the red side is ``delta_r`` per node or a uniform split
     of ``red_step_budget``, and the black side is ``delta_b`` per node or
-    the Table-2 strategy ``cure_strategy`` spending ``cure_budget``.  A
-    runnable arm sets exactly one source per side.
+    the Table-2 strategy ``cure_strategy`` spending ``cure_budget``.
+
+    Construction raises ``ValueError`` unless the arm can run: ``steps``,
+    ``trials`` and ``descent_iterations`` at least 1, with ``trials x steps``
+    results within one array; masses and budgets finite and nonnegative;
+    known strategy families, each with its budget; a red initialization;
+    and exactly one source per side.
     """
 
     steps: int
@@ -88,32 +94,29 @@ class ExperimentConfig:
     descent_iterations: int | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key in ("steps", "trials"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.trials * self.steps > _MAX_DOUBLES:
+            raise ValueError(f"trials * steps = {self.trials} * {self.steps} overflows an array")
         if self.descent_iterations is not None and self.descent_iterations < 1:
             raise ValueError("descent_iterations must be >= 1")
-        for name in ("red_budget", "init_budget", "cure_budget", "red_step_budget",
-                     "delta", "delta_r", "delta_b", "red_values", "black_values"):
+        for name, kind in _KINDS.items():
             v = getattr(self, name)
-            if v is not None and not all(0 <= x < np.inf for x in np.atleast_1d(v)):
-                raise ValueError(f"{name} must be finite and nonnegative")
+            if kind in ("float", "tuple") and v is not None:
+                v = np.asarray(v, dtype=float)
+                if not (np.isfinite(v) & (v >= 0)).all():
+                    raise ValueError(f"{name} must be finite and nonnegative")
         for name in ("init_strategy", "cure_strategy"):
             v = getattr(self, name)
             if v is not None and v not in FAMILIES:
                 raise ValueError(f"{name}: unknown strategy family {v!r}; "
                                  f"expected one of {FAMILIES}")
-
-    def validate(self) -> "ExperimentConfig":
-        """Check the arm is runnable; templates for comparisons may leave the
-        varied strategy slot open until the arms are built."""
         if self.red_values is None and self.red_budget is None:
             raise ValueError("need red_values or red_budget for the infection initialization")
-        if self.init_strategy is not None and self.init_budget is None:
-            raise ValueError("init_strategy needs init_budget")
-        if self.cure_strategy is not None and self.cure_budget is None:
-            raise ValueError("cure_strategy needs cure_budget")
+        for kind in ("init", "cure"):
+            if getattr(self, f"{kind}_strategy") and getattr(self, f"{kind}_budget") is None:
+                raise ValueError(f"{kind}_strategy needs {kind}_budget")
         for side, keys in (("red", ("delta", "delta_r", "red_step_budget")),
                            ("black", ("delta", "delta_b", "cure_strategy"))):
             given = [key for key in keys if getattr(self, key) is not None]
@@ -122,7 +125,10 @@ class ExperimentConfig:
             if len(given) > 1:
                 raise ValueError(f"{' and '.join(given)} both set the {side} side, and "
                                  f"{given[0]} would override the rest; set only one")
-        return self
+
+
+# Each field's type, "int", "float", "tuple" or "str", from its annotation string.
+_KINDS = {f.name: f.type.split(" | ")[0] for f in fields(ExperimentConfig)}
 
 
 def resolve_initialization(net: Network, cfg: ExperimentConfig):
@@ -161,7 +167,8 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
     of the result; a single block, or an arm whose curing runs the
     optimizer (Python-bound, so slower on threads), runs on the calling
     thread.  An error in one block, or an interrupt, stops the others at
-    their next step.
+    their next step.  A block whose super-urn totals are not finite after
+    its last step raises ``ValueError`` naming the arm.
     """
     n = net.node_count
     if cfg.delta is not None:
@@ -189,10 +196,16 @@ def _simulate(net: Network, cfg: ExperimentConfig, red, black, trials: range,
         streams = [trial_generator(cfg.seed, s, arm) for s in block]
         state = UrnState(net, np.broadcast_to(red, (len(block), n)), black)
         try:
-            for t, z in enumerate(iter_draws(state, schedule, _uniforms(streams, n, cfg.steps))):
-                if stop.is_set():
-                    return
-                means[lo:lo + len(block), t] = z.mean(axis=1)
+            # Masses never shrink, so an overflow lasts: one check after the
+            # last step stands in for numpy's warnings at every step.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, z in enumerate(iter_draws(state, schedule,
+                                                 _uniforms(streams, n, cfg.steps))):
+                    if stop.is_set():
+                        return
+                    means[lo:lo + len(block), t] = z.mean(axis=1)
+            if not np.isfinite(state.super_total).all():
+                raise ValueError(f"arm {cfg.label!r}: masses overflow by step {cfg.steps}")
         except BaseException:
             stop.set()
             raise
@@ -276,7 +289,6 @@ def run_experiment(net: Network, cfg: ExperimentConfig, *, n_jobs: int = 1,
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    cfg.validate()
     red, black = resolve_initialization(net, cfg)
     trials = cfg.trials
     threads = _threads_per_process(n_jobs)
@@ -396,21 +408,15 @@ def emit(series, fmt: str = "csv", path=None):
 # Config files
 # ---------------------------------------------------------------------------
 
-_PARSERS = {**dict.fromkeys(("red_budget", "init_budget", "cure_budget", "red_step_budget",
-                             "delta", "delta_r", "delta_b"), float),
-            **dict.fromkeys(("steps", "trials", "seed", "descent_iterations"), int),
-            **dict.fromkeys(("red_values", "black_values"),
-                            lambda text: tuple(float(x) for x in text.split(",")))}
-
-
 def load_config_file(path):
-    """Read an experiment description: a ``[network]`` section (``file`` or
-    ``ba_nodes``/``ba_m``/``ba_seed``), a ``[run]`` section with shared
-    settings, and one ``[arm:NAME]`` section per strategy arm whose keys
-    override the shared ones.
+    """Read an experiment description: a ``[network]`` section (``file``, or
+    ``ba_nodes`` with ``ba_m``, default 1, and ``ba_seed``, default 0), a
+    ``[run]`` section with shared settings, and one ``[arm:NAME]`` section
+    per strategy arm whose keys override the shared ones.
 
-    Returns ``(network_spec, run_settings, arms)`` where arms is a list of
-    ``(name, overrides)`` pairs.
+    Returns ``(network, run_settings, arms)``: the network built, settings
+    parsed by their :class:`ExperimentConfig` field types, and arms as
+    ``(name, settings)`` pairs.  Any fault found is a :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
@@ -421,13 +427,34 @@ def load_config_file(path):
         raise FileNotFoundError(path)
     if not parser.has_section("network"):
         raise ConfigError(f"{path} has no [network] section; add one with 'file' or 'ba_nodes'")
-    network_spec = dict(parser.items("network"))
     run = _coerce(dict(parser.items("run")) if parser.has_section("run") else {})
-    arms = []
-    for section in parser.sections():
-        if section.startswith("arm:"):
-            arms.append((section[4:], _coerce(dict(parser.items(section)))))
-    return network_spec, run, arms
+    arms = [(section[4:], _coerce(dict(parser.items(section))))
+            for section in parser.sections() if section.startswith("arm:")]
+    if not arms:
+        raise ConfigError(f"{path} has no [arm:NAME] section; add one per strategy arm")
+    return _config_network(dict(parser.items("network"))), run, arms
+
+
+def _config_network(spec: dict) -> Network:
+    keys = ("file", "ba_nodes", "ba_m", "ba_seed")
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in [network]; expected one of {keys}")
+    if "file" in spec:
+        return load_network(spec["file"])
+    if "ba_nodes" not in spec:
+        raise ConfigError("[network] section needs 'file' or 'ba_nodes'")
+    size = {}
+    for key, default in (("ba_nodes", None), ("ba_m", "1"), ("ba_seed", "0")):
+        size[key] = value = _parse(key, spec.get(key, default), int, " in [network]")
+        if value < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {value} in [network]")
+    nodes, m = size["ba_nodes"], size["ba_m"]
+    if m < 1:
+        raise ConfigError(f"ba_m must be at least 1, got {m} in [network]")
+    if m >= nodes:
+        raise ConfigError(f"ba_m must be below ba_nodes = {nodes}, got {m} in [network]")
+    return generate_barabasi_albert(nodes, m, size["ba_seed"])
 
 
 def _config_error(path, exc: configparser.Error) -> str:
@@ -443,14 +470,20 @@ def _config_error(path, exc: configparser.Error) -> str:
     return f"{path}: {str(exc).splitlines()[0]}"
 
 
+_PARSE = {"int": int, "float": float, "tuple": lambda text: tuple(map(float, text.split(",")))}
+
+
 def _coerce(raw: dict) -> dict:
-    out = {}
-    for k, v in raw.items():
-        try:
-            out[k] = _PARSERS.get(k, str)(v)
-        except ValueError:
-            raise ConfigError(f"cannot parse {k} = {v!r}") from None
-    return out
+    """Parse each value by its :class:`ExperimentConfig` field's type; the
+    values of other keys stay strings."""
+    return {k: _parse(k, v, _PARSE.get(_KINDS.get(k), str)) for k, v in raw.items()}
+
+
+def _parse(key: str, text: str, parse, where: str = ""):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} = {text!r}{where}") from None
 
 
 class ConfigError(ValueError):
@@ -458,7 +491,7 @@ class ConfigError(ValueError):
     that does not exist, or gives a value that does not fit."""
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"init", "cure"}
+_CONFIG_KEYS = set(_KINDS) | {"init", "cure"}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
@@ -468,8 +501,8 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
 
     Raises :class:`ConfigError` for a key that is neither an
     :class:`ExperimentConfig` field nor the ``init``/``cure`` alias, for a
-    missing ``steps`` or ``trials``, and for an arm that does not pass
-    :meth:`ExperimentConfig.validate`."""
+    missing ``steps`` or ``trials``, and for an arm that
+    :class:`ExperimentConfig` rejects."""
     configs = []
     for name, arm in arms:
         merged = dict(run)
@@ -486,7 +519,7 @@ def build_configs(run: dict, arms, **overrides) -> list[ExperimentConfig]:
             if (strategy := merged.pop(alias, None)) is not None:
                 merged[f"{alias}_strategy"] = strategy
         try:
-            configs.append(ExperimentConfig(**merged).validate())
+            configs.append(ExperimentConfig(**merged))
         except ValueError as exc:
             raise ConfigError(f"{exc} in arm {name!r}") from None
     return configs

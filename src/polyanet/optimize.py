@@ -177,7 +177,7 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
     n = net.node_count
 
     def best_cure(y):
-        return optimize_cure_step(net, state, curing_budget, y, cfg)
+        return frank_wolfe_simplex(lambda x: obj.value_and_grad(x, y), curing_budget, n, cfg)
 
     def best_infect(x):
         return frank_wolfe_simplex(lambda y: mirror.value_and_grad(y, x),

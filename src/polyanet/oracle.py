@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import UrnState, as_schedule
+from .engine import _BLOCK_CELLS, UrnState, as_schedule
 from .graph import Network
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -40,10 +40,6 @@ class PathProbability:
 
     history: np.ndarray
     probability: float
-
-
-# Cells (histories x nodes) in one batch of the history walk, as in a trial block.
-_BLOCK_CELLS = 1 << 16
 
 
 def joint_probability(net: Network, red_init, black_init, schedule, history) -> float:

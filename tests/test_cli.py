@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyanet
 from polyanet.cli import main
 from polyanet import graph
 from polyanet.graph import load_network
+from polyanet.policies import FAMILIES
 
 
 P5_MATRIX = "5\n0 1 0 0 0\n1 0 1 0 0\n0 1 0 1 0\n0 0 1 0 1\n0 0 0 1 0\n"
@@ -330,6 +335,10 @@ def keep(text):
      ["ba_m", "below ba_nodes = 9", "got 9"], []),
     (lambda text: text.replace("[run]", "[run]\ndescent_iterations = -3"),
      ["descent_iterations", "'uniform'"], []),
+    (lambda text: text.replace("trials = 8", "trials = 99999999999999999999"),
+     ["trials * steps = 99999999999999999999 * 2", "'uniform'"], []),
+    (lambda text: text.replace("steps = 2", "steps = 99999999999999999999"),
+     ["trials * steps = 8 * 99999999999999999999", "'uniform'"], []),
     (keep, ["--jobs must be at least 1, got -4"], ["--jobs", "-4"]),
     (keep, ["--jobs must be at least 1, got 0"], ["--jobs", "0"]),
     (lambda text: text.replace("red_budget = 5\n", ""),
@@ -352,7 +361,7 @@ def keep(text):
 ], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
         "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed",
         "ba-seed-negative", "ba-m-negative", "ba-m-zero", "ba-m-not-below-nodes",
-        "descent-iterations-negative", "jobs-negative", "jobs-zero", "no-red",
+        "descent-iterations-negative", "trials-huge", "steps-huge", "jobs-negative", "jobs-zero", "no-red",
         "family-unknown", "arm-unknown",
         "delta-with-cure", "delta-with-delta-r", "delta-with-delta-b",
         "delta-with-red-step-budget", "delta-r-with-red-step-budget", "delta-b-with-cure"])
@@ -363,6 +372,17 @@ def test_bad_config_is_usage_error(p5_file, tmp_path, capsys, edit, words, flags
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and all(w in err for w in words)
     assert "Traceback" not in err
+
+
+def test_mass_overflow_exits_2(p5_file, tmp_path, capsys):
+    """Masses past the float range are a runtime error naming the arm, not
+    a CSV of black draws from NaN proportions."""
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(CONFIG.format(net=p5_file).replace("delta = 1.0", "delta = 1e308"))
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: arm 'uniform': masses overflow by step 2\n"
+    assert not out.exists()
 
 
 BAD_MASSES = [("--red", "uniform:abc"), ("--black", "uniform:nan"), ("--red", "uniform:inf"),
@@ -455,3 +475,104 @@ def test_edge_list_with_a_huge_id_exits_2(tmp_path, capsys, ids, message):
     path.write_text(f"1 2\n{ids}\n")
     assert main(["inspect", "--net", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A grammar of config files: a valid base, then edits that drop, repeat or
+# add sections, keys and lines, or give values that do not parse or are huge.
+# Huge values go only where they must be rejected, so every run stays tiny.
+BAD_VALUES = ["1e400", "", "abc", "1.5", "-1", "0", "nan", "inf", "1,x", "5%(x)s"]
+HUGE = ["99999999999999999999", str(2**62)]
+HUGE_KEYS = ("ba_nodes", "ba_m", "steps", "trials")
+GOOD_VALUES = {"ba_nodes": ["3", "8"], "ba_m": ["1", "2"], "steps": ["1", "5"],
+               "trials": ["1", "5"], "red_values": ["1,1,1"], "black_values": ["0,1,2"],
+               "init": ["i", "iv", "ix"], "cure": ["i", "ii", "vi"], "label": ["x"]}
+KEYS = ["file", "ba_nodes", "ba_m", "ba_seed", "steps", "trials", "seed", "label",
+        "red_budget", "red_values", "init", "init_strategy", "init_budget", "black_values",
+        "delta", "delta_r", "delta_b", "red_step_budget", "cure", "cure_budget",
+        "descent_iterations", "bogus"]
+RAW_LINES = ["garbage", "= 3", "[unclosed", "seed = 1", "  indented = 2"]
+
+
+@st.composite
+def config_texts(draw, files):
+    def value(key):
+        if key == "file":
+            return str(files / draw(st.sampled_from(["p3.adj", "bad.adj", "missing.adj"])))
+        return draw(st.sampled_from(BAD_VALUES + GOOD_VALUES.get(key, ["2"])))
+
+    def pick(items):
+        return draw(st.integers(0, len(items) - 1)) if items else None
+
+    network = ([["file", str(files / "p3.adj")]] if draw(st.booleans()) else
+               [["ba_nodes", draw(st.sampled_from("345678"))], ["ba_m", "1"], ["ba_seed", "7"]])
+    sections = [["network", network],
+                ["run", [["steps", draw(st.sampled_from("12345"))],
+                         ["trials", draw(st.sampled_from("12345"))], ["seed", "3"],
+                         ["red_budget", "5"], ["init_budget", "5"]]]]
+    for name in draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=2, unique=True)):
+        family = draw(st.sampled_from(FAMILIES))
+        steps = ([["delta", "1"]] if draw(st.booleans()) else
+                 [["cure", family], ["cure_budget", "2"], ["red_step_budget", "2"]])
+        sections.append([f"arm:{name}", [["init", family], *steps]])
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["set-value", "set-huge", "add-key", "drop-key",
+                                     "repeat-key", "add-section", "drop-section",
+                                     "repeat-section"]))
+        if edit in ("set-value", "set-huge"):
+            lines = [line for _, keys in sections for line in keys
+                     if edit == "set-value" or line[0] in HUGE_KEYS]
+            if lines:
+                line = draw(st.sampled_from(lines))
+                line[1] = draw(st.sampled_from(HUGE)) if edit == "set-huge" else value(line[0])
+            continue
+        s = pick(sections)
+        if edit == "add-section" or s is None:
+            key = draw(st.sampled_from(KEYS))
+            name = draw(st.sampled_from(["arm:b", "bogus", "arm:", "arms", "run", "network"]))
+            sections.append([name, [[key, value(key)]]])
+        elif edit == "drop-section":
+            del sections[s]
+        elif edit == "repeat-section":
+            sections.append([sections[s][0], []])
+        else:
+            keys = sections[s][1]
+            k = pick(keys)
+            if edit == "add-key" or k is None:
+                key = draw(st.sampled_from(KEYS))
+                keys.append([key, value(key)])
+            elif edit == "drop-key":
+                del keys[k]
+            else:
+                keys.append(list(keys[k]))
+    lines = [line for name, keys in sections
+             for line in [f"[{name}]", *(f"{key} = {v}" for key, v in keys)]]
+    if draw(st.sampled_from([False] * 5 + [True])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(RAW_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("configs")
+    (files / "p3.adj").write_text(P3_MATRIX)
+    (files / "bad.adj").write_text("2\n0 1\n0 0\n")
+    return files
+
+
+@settings(derandomize=True, deadline=None, max_examples=250, database=None)
+@given(data=st.data())
+def test_any_config_ends_in_a_documented_exit_code(config_files, data):
+    """``compare`` on any config text of the grammar returns 0, 1 with a
+    usage error or 2 with an error, and never raises; sizes stay tiny and
+    huge values are rejected before anything is allocated."""
+    path = config_files / "any.ini"
+    path.write_text(data.draw(config_texts(config_files)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compare", "--config", str(path)])
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code:
+        assert err.startswith("usage error:" if code == 1 else "error:"), err
+    else:
+        assert out.getvalue().startswith("time,strategy,mean_infection,stderr,trials\r\n")

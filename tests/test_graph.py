@@ -104,6 +104,17 @@ def test_from_edges_names_a_pair_beyond_int64():
         "edge (-9223372036854775808,3) holds an id beyond int64")
 
 
+def test_from_edges_names_a_pair_with_an_id_that_is_not_an_integer():
+    """Fractional, NaN and infinite ids name their pair, 1-indexed, from a
+    list or a float array; integral floats still build."""
+    for edges, pair in (([(0, 1.5), (1, 2)], "(1,2.5)"), ([(0, 1), (np.nan, 2)], "(nan,3)"),
+                        (np.array([[0.0, 1.0], [1.0, np.inf]]), "(2.0,inf)")):
+        assert _message(Network.from_edges, 3, edges) == (
+            f"edge {pair} holds an id that is not an integer")
+    floats = Network.from_edges(3, np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert floats.edges() == Network.from_edges(3, [(0, 1), (1, 2)]).edges()
+
+
 def test_edge_list_errors_name_the_file_line():
     """Comment and blank lines count, after any line break; the first bad
     line is named."""

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import hashlib
 import json
 import sys
@@ -6,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyanet.harness as harness
 from polyanet.cli import main
@@ -21,6 +24,7 @@ from polyanet.harness import (
     trial_generator,
 )
 from polyanet.oracle import infection_rate_time1
+from polyanet.policies import FAMILIES
 
 from support import parse_summary_csv
 
@@ -47,16 +51,32 @@ def test_config_validation():
         with pytest.raises(ValueError, match="black_values must be finite"):
             ExperimentConfig(steps=1, trials=1, red_budget=1.0, black_values=(1.0, bad))
     with pytest.raises(ValueError, match="red_values or red_budget"):
-        ExperimentConfig(steps=1, trials=1, delta=1.0).validate()
+        ExperimentConfig(steps=1, trials=1, delta=1.0)
     with pytest.raises(ValueError, match="red side"):
-        ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta_b=1.0).validate()
+        ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta_b=1.0)
     with pytest.raises(ValueError, match="black side"):
-        ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta_r=1.0).validate()
+        ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta_r=1.0)
     with pytest.raises(ValueError, match="init_budget"):
         ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta=1.0,
-                         init_strategy="ii").validate()
+                         init_strategy="ii")
     with pytest.raises(ValueError, match="descent_iterations must be >= 1"):
         ExperimentConfig(steps=1, trials=1, red_budget=1.0, delta=1.0, descent_iterations=0)
+    for key in ("trials", "steps"):  # rejected before anything is allocated
+        with pytest.raises(ValueError, match=rf"trials \* steps = .*{10**20}.* overflows"):
+            ExperimentConfig(**{"steps": 1, "trials": 1, key: 10**20}, red_budget=1.0, delta=1.0)
+    with pytest.raises(ValueError, match="overflows an array"):
+        ExperimentConfig(steps=2**31, trials=2**31, red_budget=1.0, delta=1.0)
+
+
+def test_mass_overflow_stops_the_run_naming_the_arm(p3, monkeypatch):
+    """Reinforcement that overflows the masses fails after the last step of
+    each block, here on two threads of one-trial blocks, rather than
+    drawing black from NaN proportions."""
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", p3.node_count)
+    monkeypatch.setattr(harness, "_threads_per_process", lambda processes: 2)
+    cfg = ExperimentConfig(steps=3, trials=4, label="huge", red_budget=3.0, delta=1e308)
+    with pytest.raises(ValueError, match="^arm 'huge': masses overflow by step 3$"):
+        run_experiment(p3, cfg)
 
 
 def test_trial_streams_are_scheduling_independent(p3):
@@ -359,8 +379,8 @@ trials = 20
 def test_config_file_loading(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT)
-    net_spec, run, arms = load_config_file(path)
-    assert net_spec["ba_nodes"] == "12"
+    net, run, arms = load_config_file(path)
+    assert net.edges() == generate_barabasi_albert(12, 1, 3).edges()
     assert run["trials"] == 10
     configs = build_configs(run, arms)
     assert [c.label for c in configs] == ["uniform", "inner"]
@@ -368,6 +388,52 @@ def test_config_file_loading(tmp_path):
     assert configs[1].trials == 20  # arm override
     overridden = build_configs(run, arms, trials=5, seed=None)
     assert all(c.trials == 5 for c in overridden)
+
+
+FLOATS = st.floats(0, 1e300)  # finite and nonnegative; str reads back exactly
+VALUES = st.lists(FLOATS, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig, every optional field set or not."""
+    def maybe(values):
+        return draw(st.none() | values)
+
+    kw = dict(steps=draw(st.integers(1, 5)), trials=draw(st.integers(1, 5)),
+              seed=draw(st.integers(0, 2**64)), label=draw(st.text("ab_-1.", max_size=6)),
+              red_values=maybe(VALUES), black_values=maybe(VALUES),
+              init_strategy=maybe(st.sampled_from(FAMILIES)),
+              descent_iterations=maybe(st.integers(1, 50)))
+    kw["red_budget"] = draw(FLOATS) if kw["red_values"] is None else maybe(FLOATS)
+    kw["init_budget"] = draw(FLOATS) if kw["init_strategy"] else maybe(FLOATS)
+    if draw(st.booleans()):
+        kw["delta"] = draw(FLOATS)
+    else:
+        kw[draw(st.sampled_from(["delta_r", "red_step_budget"]))] = draw(FLOATS)
+        kw["cure_strategy"] = maybe(st.sampled_from(FAMILIES))
+        kw["cure_budget"] = draw(FLOATS) if kw["cure_strategy"] else maybe(FLOATS)
+        if kw["cure_strategy"] is None:
+            kw["delta_b"] = draw(FLOATS)
+    return ExperimentConfig(**kw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(cfg=experiment_configs())
+def test_config_round_trips_through_a_file(cfg, tmp_path_factory):
+    """Every set field, written as a key of one [arm:NAME] section, reads
+    back by its annotation to the same config."""
+    lines = ["[network]", "ba_nodes = 5", "[arm:a]"]
+    for field in dataclasses.fields(cfg):
+        v = getattr(cfg, field.name)
+        if v is not None:
+            text = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            lines.append(f"{field.name} = {text}")
+    path = tmp_path_factory.getbasetemp() / "round-trip.ini"
+    path.write_text("\n".join(lines) + "\n")
+    net, run, arms = load_config_file(path)
+    assert net.node_count == 5 and run == {}
+    assert build_configs(run, arms) == [cfg]
 
 
 def test_config_file_requires_network(tmp_path):
