@@ -135,6 +135,8 @@ def _cmd_gen(args):
         raise UsageError(f"--m must be at least 1, got {args.m}")
     if args.nodes <= args.m:
         raise UsageError(f"--nodes must exceed --m = {args.m}, got {args.nodes}")
+    if args.nodes > graph._MAX_NODES:
+        raise UsageError(f"--nodes must be at most {graph._MAX_NODES}, got {args.nodes}")
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     net = graph.generate_barabasi_albert(args.nodes, args.m, args.seed)

@@ -153,8 +153,12 @@ def _closed_sums(net: Network, masses: np.ndarray) -> np.ndarray:
 
 
 def _check_masses(what: str, *masses) -> None:
-    if not all(m.min() >= 0 and m.max() < np.inf for m in masses):  # NaN fails both
-        raise ValueError(f"{what} must be finite and nonnegative")
+    """The one rule for every mass, step and budget the library takes: each
+    scalar or array is finite and nonnegative, else ``ValueError`` names ``what``."""
+    for m in masses:
+        m = np.asarray(m, dtype=float)
+        if not (m.min(initial=0.0) >= 0 and m.max(initial=0.0) < np.inf):  # NaN fails both
+            raise ValueError(f"{what} must be finite and nonnegative")
 
 
 def _bad_nodes(mask: np.ndarray) -> list:

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import _BLOCK_CELLS, UrnState, iter_draws
-from .graph import Network, generate_barabasi_albert, load_network
+from .engine import _BLOCK_CELLS, UrnState, _check_masses, iter_draws
+from .graph import _MAX_NODES, Network, generate_barabasi_albert, load_network
 from .optimize import DescentConfig
 from .policies import FAMILIES, StrategySpec, cure_allocator, init_allocation
 
@@ -102,11 +102,8 @@ class ExperimentConfig:
         if self.descent_iterations is not None and self.descent_iterations < 1:
             raise ValueError("descent_iterations must be >= 1")
         for name, kind in _KINDS.items():
-            v = getattr(self, name)
-            if kind in ("float", "tuple") and v is not None:
-                v = np.asarray(v, dtype=float)
-                if not (np.isfinite(v) & (v >= 0)).all():
-                    raise ValueError(f"{name} must be finite and nonnegative")
+            if kind in ("float", "tuple") and getattr(self, name) is not None:
+                _check_masses(name, getattr(self, name))
         for name in ("init_strategy", "cure_strategy"):
             v = getattr(self, name)
             if v is not None and v not in FAMILIES:
@@ -454,6 +451,8 @@ def _config_network(spec: dict) -> Network:
         raise ConfigError(f"ba_m must be at least 1, got {m} in [network]")
     if m >= nodes:
         raise ConfigError(f"ba_m must be below ba_nodes = {nodes}, got {m} in [network]")
+    if nodes > _MAX_NODES:
+        raise ConfigError(f"ba_nodes must be at most {_MAX_NODES}, got {nodes} in [network]")
     return generate_barabasi_albert(nodes, m, size["ba_seed"])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import UrnState
+from .engine import UrnState, _check_masses
 from .graph import Network
 from .oracle import ExposureObjective, infection_rate_time1
 
@@ -84,8 +84,10 @@ def frank_wolfe_simplex(value_and_grad, budget: float, dim: int,
     objective the value does not rise.  A value test would stall once the
     decrease falls below what the value can resolve.  The returned iterate
     comes with its Frank–Wolfe gap ``grad . (iterate - vertex)``, and
-    ``iterations`` counts the projected steps taken.
+    ``iterations`` counts the projected steps taken.  Raises ``ValueError``
+    unless ``budget`` is finite and nonnegative.
     """
+    _check_masses("budget", budget)
     cfg = cfg or DescentConfig()
     y = np.full(dim, budget / dim)
     f, g = value_and_grad(y)
@@ -119,7 +121,10 @@ def frank_wolfe_simplex(value_and_grad, budget: float, dim: int,
 
 def optimize_init(net: Network, red_init, budget: float,
                   cfg: DescentConfig | None = None) -> FrankWolfeResult:
-    """Black-mass initialization minimizing the time-1 average infection rate."""
+    """Black-mass initialization minimizing the time-1 average infection rate.
+
+    Raises ``ValueError`` unless ``red_init`` and ``budget`` are finite and
+    nonnegative (see :func:`infection_rate_time1` for its other errors)."""
     red = np.asarray(red_init, dtype=float)
     return frank_wolfe_simplex(lambda b: infection_rate_time1(net, red, b), budget,
                                net.node_count, cfg)
@@ -128,9 +133,12 @@ def optimize_init(net: Network, red_init, budget: float,
 def optimize_cure_step(net: Network, state: UrnState, budget: float,
                        infection_step=0.0, cfg: DescentConfig | None = None) -> FrankWolfeResult:
     """One-step curing allocation minimizing expected network exposure, with
-    the infection-side reinforcement held fixed."""
+    the infection-side reinforcement held fixed.  Raises ``ValueError``
+    unless ``budget`` and ``infection_step`` are finite and nonnegative, and
+    for a state whose super-urn totals are not finite."""
     obj = ExposureObjective(state)
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (net.node_count,))
+    _check_masses("infection_step", y)
     return frank_wolfe_simplex(lambda x: obj.value_and_grad(x, y), budget,
                                net.node_count, cfg)
 
@@ -166,9 +174,8 @@ def nash_solve(net: Network, state: UrnState, curing_budget: float,
     Raises ``ValueError`` for a negative or non-finite budget and for
     ``rounds < 1``.
     """
-    for name, budget in (("curing_budget", curing_budget), ("infection_budget", infection_budget)):
-        if not 0 <= budget < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {budget}")
+    _check_masses("curing_budget", curing_budget)
+    _check_masses("infection_budget", infection_budget)
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     cfg = cfg or DescentConfig()

@@ -9,6 +9,11 @@ from history-by-history ones by at most 1e-14 on acceptance criterion 02.
 The time-1 infection rate is closed-form.  The one-step expected network
 exposure is an integral whose cost is linear in the edges; its infection
 side is its curing side with the colours swapped.
+
+Every mass and step must be finite and nonnegative (``engine._check_masses``,
+``ValueError`` naming the argument).  The exposure objective and the
+enumerators raise ``ValueError``, rather than give NaN, at super-urn totals
+past the float range.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _BLOCK_CELLS, UrnState, as_schedule
+from .engine import _BLOCK_CELLS, UrnState, _check_masses, as_schedule
 from .graph import Network
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -79,6 +84,7 @@ def _walk_histories(net, red_init, black_init, schedule, steps, cap):
     chunk = max(1, _BLOCK_CELLS // n)
 
     def expand(state, mass, histories):
+        _check_masses("super-urn totals", state.super_total)
         if state.time == steps:
             yield histories, mass, state
             return
@@ -139,20 +145,27 @@ def infection_rate_time1(net: Network, red_init, black_init):
     The value is the mean over nodes of the initial super-urn red
     proportion.  Adding black mass at node j lowers the proportion of every
     super urn containing j, giving the closed-form gradient returned here.
-    Requires positive super-urn red mass everywhere.
+    Requires positive super-urn red mass everywhere.  Raises ``ValueError``
+    unless ``red_init`` and ``black_init`` are finite and nonnegative, and
+    for a super-urn total whose square overflows (past about 1.3e154).
     """
     n = net.node_count
     red = np.broadcast_to(np.asarray(red_init, dtype=float), (n,))
     black = np.broadcast_to(np.asarray(black_init, dtype=float), (n,))
-    if (red < 0).any() or (black < 0).any():
-        raise ValueError("ball masses must be nonnegative")
+    _check_masses("red_init", red)
+    _check_masses("black_init", black)
     super_red = net.closed_adjacency @ red
     if (super_red <= 0).any():
         bad = (np.flatnonzero(super_red <= 0) + 1).tolist()
         raise ValueError(f"super-urn red mass must be positive everywhere; zero at nodes {bad}")
     super_total = super_red + net.closed_adjacency @ black
     value = float(np.mean(super_red / super_total))
-    grad = -(net.closed_adjacency @ (super_red / super_total**2)) / n
+    with np.errstate(over="ignore"):
+        square = super_total**2
+    if not np.isfinite(square).all():
+        raise ValueError(f"super-urn totals up to {super_total.max():.6g} overflow the time-1 "
+                         "gradient, which squares them")
+    grad = -(net.closed_adjacency @ (super_red / square)) / n
     return value, grad
 
 
@@ -203,10 +216,12 @@ class ExposureObjective:
     One evaluation costs O(Q nnz(C)), C the closed adjacency.
 
     The objective is convex in the curing (black) vector ``x`` and concave
-    in the infection (red) vector ``y``.
+    in the infection (red) vector ``y``.  Raises ``ValueError`` for a state
+    whose super-urn totals are not finite, and for steps that make one so.
     """
 
     def __init__(self, state: UrnState):
+        _check_masses("super-urn totals", state.super_total)
         # Copies: the state's arrays change in place as it advances.
         self._total = total = state.super_total.copy()
         s, q = state.super_red / total, state.super_black / total
@@ -234,6 +249,8 @@ class ExposureObjective:
         weighted ``exp(-t (c_i + d_i)) prod_j a_j(t)`` and
         ``c_i + sum_j y_j r_j(t)``."""
         rate = (self._total + self._closed @ np.maximum(x, y)).max()
+        if not rate < np.inf:  # NaN fails too
+            raise ValueError(f"steps must keep every super-urn total finite, got one of {rate}")
         t, w = _exposure_rule(self._total.min(), rate)
         x_step = x + self._never_black
         y_step = y + self._never_red
@@ -277,7 +294,6 @@ def expected_exposure(state: UrnState, curing_step, infection_step):
     n = state.node_count
     x = np.broadcast_to(np.asarray(curing_step, dtype=float), (n,))
     y = np.broadcast_to(np.asarray(infection_step, dtype=float), (n,))
-    for name, step in (("curing_step", x), ("infection_step", y)):
-        if not (np.isfinite(step) & (step >= 0)).all():
-            raise ValueError(f"{name} must be finite and nonnegative")
+    _check_masses("curing_step", x)
+    _check_masses("infection_step", y)
     return ExposureObjective(state).value_and_gradients(x, y)

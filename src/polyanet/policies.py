@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .engine import UrnState
+from .engine import UrnState, _check_masses
 from .graph import Network
 from .optimize import DescentConfig, optimize_cure_step, optimize_init
 
@@ -116,11 +116,14 @@ def _spread(net: Network, nodes: np.ndarray, weights: np.ndarray, budget: float,
 
 
 def init_allocation(spec: StrategySpec, net: Network, red_init, budget: float) -> np.ndarray:
-    """Black-mass initialization for the given strategy; sums to the budget."""
+    """Black-mass initialization for the given strategy; sums to the budget.
+
+    Raises ``ValueError`` unless ``red_init`` and ``budget`` are finite and
+    nonnegative."""
     if spec.side != "init":
         raise ValueError(f"expected an init strategy, got {spec}")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_masses("red_init", red_init)
+    _check_masses("budget", budget)
     if spec.uses_optimizer:
         res = optimize_init(net, red_init, budget, spec.descent)
         if not res.converged:
@@ -146,12 +149,12 @@ def cure_allocator(spec: StrategySpec, net: Network, budget: float):
     block of trials, so the policy keeps no state between calls in its
     closure: per-row state (such as a warm start for family (i)) must be
     keyed by the state passed in.  Warnings from concurrent calls may
-    interleave on stderr.
+    interleave on stderr.  Raises ``ValueError`` unless ``budget`` is finite
+    and nonnegative.
     """
     if spec.side != "cure":
         raise ValueError(f"expected a cure strategy, got {spec}")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_masses("budget", budget)
 
     if spec.uses_optimizer:
         def optimize_policy(t: int, state: UrnState, infection_step=0.0) -> np.ndarray:

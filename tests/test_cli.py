@@ -333,6 +333,8 @@ def keep(text):
      ["ba_m", "at least 1", "got 0"], []),
     (lambda text: re.sub(r"file = .*", "ba_nodes = 9\nba_m = 9", text),
      ["ba_m", "below ba_nodes = 9", "got 9"], []),
+    (lambda text: re.sub(r"file = .*", "ba_nodes = 99999999999999999999", text),
+     ["ba_nodes", "at most 3037000499", "got 99999999999999999999"], []),
     (lambda text: text.replace("[run]", "[run]\ndescent_iterations = -3"),
      ["descent_iterations", "'uniform'"], []),
     (lambda text: text.replace("trials = 8", "trials = 99999999999999999999"),
@@ -360,7 +362,7 @@ def keep(text):
      ["delta_b and cure_strategy"], []),
 ], ids=["no-network", "red-length", "black-length", "unparsed", "delta-nan", "delta-inf",
         "delta-negative", "budget-nan", "ba-nodes-unparsed", "ba-seed-unparsed",
-        "ba-seed-negative", "ba-m-negative", "ba-m-zero", "ba-m-not-below-nodes",
+        "ba-seed-negative", "ba-m-negative", "ba-m-zero", "ba-m-not-below-nodes", "ba-nodes-huge",
         "descent-iterations-negative", "trials-huge", "steps-huge", "jobs-negative", "jobs-zero", "no-red",
         "family-unknown", "arm-unknown",
         "delta-with-cure", "delta-with-delta-r", "delta-with-delta-b",
@@ -418,6 +420,7 @@ def test_exact_bad_flag_is_usage_error(p3_file, capsys, flag, value):
 
 @pytest.mark.parametrize("flag, value", [
     ("--m", "0"), ("--m", "-1"), ("--nodes", "1"), ("--nodes", "0"), ("--seed", "-1"),
+    ("--nodes", "99999999999999999999"),
 ])
 def test_gen_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     args = {"--nodes": "10", "--m": "1", flag: value}
@@ -426,6 +429,19 @@ def test_gen_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage error: {flag} ")
     assert not (tmp_path / "net.adj").exists()
+
+
+def test_init_descent_overflow_exits_2(tmp_path, capsys):
+    """An init budget whose super-urn totals square past the float range
+    stops the time-1 descent with one line, not a CSV of zeros."""
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(re.sub(r"file = .*", "ba_nodes = 20", CONFIG)
+                   .replace("init_budget = 5", "init_budget = 1e306")
+                   .replace("init = ii\n", "init = i\n"))
+    assert main(["compare", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: super-urn totals up to ") and "time-1 gradient" in err
 
 
 @pytest.mark.parametrize("edit, line, reason", [
@@ -452,7 +468,7 @@ def test_config_percent_is_literal(p5_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["gen", "--nodes", "4000000000", "--m", "1", "--out", "never.adj"], "generate_barabasi_albert"),
+    (["gen", "--nodes", "3000000000", "--m", "1", "--out", "never.adj"], "generate_barabasi_albert"),
     (["inspect", "--net", "{p5}"], "_reach_levels"),
 ], ids=["gen", "inspect-closeness"])
 def test_out_of_memory_exits_2(p5_file, monkeypatch, capsys, argv, name):

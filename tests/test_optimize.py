@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polyanet import optimize
 from polyanet.engine import UrnState
 from polyanet.graph import Network, generate_barabasi_albert
 from polyanet.optimize import (
@@ -274,3 +275,29 @@ def test_cure_descent_converges_within_iteration_budget(n, budget, infection_ste
     state = UrnState(net, np.full(n, 10.0), np.full(n, 10.0))
     res = optimize_cure_step(net, state, budget, infection_step, cfg)
     assert res.converged and res.iterations <= cap
+
+
+def averaged_game():
+    """A BA(14,1) game whose alternating pairs never certify below 1e-4:
+    only the running averages do, at round 10."""
+    rng = np.random.default_rng(88)
+    n = int(rng.integers(3, 25))
+    net = generate_barabasi_albert(n, 1, seed=88)
+    state = UrnState(net, rng.uniform(1, 20, n), rng.uniform(1, 20, n))
+    budgets = [rng.uniform(1, 100) * (1000.0 if rng.random() < 0.5 else 1.0) for _ in range(2)]
+    return net, state, budgets
+
+
+def test_nash_averaged_certificate_converges(monkeypatch):
+    net, state, (curing, infection) = averaged_game()
+    assert net.node_count == 14
+    assert (round(curing, 1), round(infection, 1)) == (13489.5, 98544.6)
+    sol = nash_solve(net, state, curing, infection)
+    assert sol.converged and sol.rounds == 10
+    assert sol.exploitability == pytest.approx(9.16e-5, rel=1e-3)
+    assert sol.curing.sum() == pytest.approx(curing, rel=1e-12)
+    # Without the averaged check the same game ends unconverged.
+    monkeypatch.setattr(optimize, "_AVERAGED_CHECK_EVERY", 10**9)
+    sol = nash_solve(net, state, curing, infection, rounds=30)
+    assert not sol.converged and sol.rounds == 30
+    assert sol.exploitability == pytest.approx(1.24e-3, rel=1e-2)
